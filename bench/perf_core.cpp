@@ -215,10 +215,9 @@ BENCHMARK(BM_MapCached)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
 
 void BM_KSweep(benchmark::State& state) {
   // The paper's central experiment shape: one congestion_aware_flow call
-  // over a 5-point K schedule. arg 1 = the seed serial implementation
-  // (no cache, no pool); arg 0 = hardware threads + match cache. The
-  // acceptance bar for the incremental+parallel engine is >= 1.5x between
-  // the two on a multi-core host.
+  // over a 5-point K schedule. arg 1 = serial (no pool); arg 0 = hardware
+  // threads, which evaluates K windows concurrently and parallelizes
+  // matching and covering inside each evaluation.
   const ScopedLogLevel silence(LogLevel::kSilent);
   const std::vector<double> schedule = {0.0, 0.05, 0.1, 0.2, 0.4};
   FlowOptions options;
@@ -229,7 +228,6 @@ void BM_KSweep(benchmark::State& state) {
   options.rgrid.capacity_scale = 1.6;
   options.route.max_rrr_iterations = 6;
   options.num_threads = static_cast<std::uint32_t>(state.range(0));
-  options.use_match_cache = options.num_threads != 1;
   for (auto _ : state) {
     // A fresh context per iteration: the match cache must be rebuilt inside
     // the timed region, exactly as a table bench would pay for it.

@@ -258,9 +258,10 @@ FlowRun DesignContext::run_impl(const FlowOptions& options, FlowResult* checked)
     cancel_point(options.cancel);
   };
 
-  // The run's worker pool, shared by every phase that parallelizes (cached
-  // mapping, FM placement, rip-up routing). The share for num_threads=0 was
-  // claimed by in_flight under the ledger lock; nullptr means pure serial.
+  // The run's worker pool for the mapper (match enumeration and the cover
+  // wavefront); placement and routing run serially. The share for
+  // num_threads=0 was claimed by in_flight under the ledger lock; nullptr
+  // means pure serial.
   const std::uint32_t num_workers = in_flight.resolved(options.num_threads);
   ThreadPool* pool = num_workers <= 1 ? nullptr : this->pool(num_workers);
   run.metrics.threads_used = pool != nullptr ? pool->num_workers() : 1;
@@ -276,18 +277,9 @@ FlowRun DesignContext::run_impl(const FlowOptions& options, FlowResult* checked)
     cover_options.metric = options.metric;
     cover_options.transitive_wire_cost = options.transitive_wire_cost;
     cover_options.cancel = options.cancel;
-    if (options.use_match_cache) {
-      const std::shared_ptr<const MatchDatabase> db =
-          match_database(options.partition, options.metric, pool);
-      run.map =
-          map_network_cached(net_, *library_, node_positions_, *db, cover_options, pool);
-    } else {
-      // Legacy path: rebuild partition + matcher from scratch, serial DP.
-      MapperOptions mapper_options;
-      mapper_options.partition = options.partition;
-      mapper_options.cover = cover_options;
-      run.map = map_network(net_, *library_, node_positions_, mapper_options);
-    }
+    const std::shared_ptr<const MatchDatabase> db =
+        match_database(options.partition, options.metric, pool);
+    run.map = map_network_cached(net_, *library_, node_positions_, *db, cover_options, pool);
   }
   run.metrics.map_seconds = timer.seconds();
   if (over_budget(FlowPhase::kMap, run.metrics.map_seconds)) return run;
@@ -303,7 +295,7 @@ FlowRun DesignContext::run_impl(const FlowOptions& options, FlowResult* checked)
     if (options.replace_mapped) {
       PlaceOptions place_options = options.place;
       place_options.cancel = options.cancel;
-      run.placement = global_place(run.binding.graph, floorplan_, place_options, pool);
+      run.placement = global_place(run.binding.graph, floorplan_, place_options);
     } else {
       // The paper's incremental update: instances sit at the center of mass of
       // the base gates they cover; legalization resolves overlaps.
@@ -332,11 +324,11 @@ FlowRun DesignContext::run_impl(const FlowOptions& options, FlowResult* checked)
     route_options.cancel = options.cancel;
     if (options.repair_passes == 0) {
       // The seed path, verbatim: repair off is bit-identical to main.
-      run.route = route(grid, run.binding.graph, run.placement, route_options, pool);
+      run.route = route(grid, run.binding.graph, run.placement, route_options);
     } else {
       // Congestion repair (cals::rcm): keep the routing session open so the
       // repair loop can invalidate moved nets and resume the negotiation.
-      Router router(grid, run.binding.graph, run.placement, route_options, pool);
+      Router router(grid, run.binding.graph, run.placement, route_options);
       router.run();
       {
         const CongestionMap pre(grid);
@@ -373,9 +365,8 @@ FlowRun DesignContext::run_impl(const FlowOptions& options, FlowResult* checked)
         run.placement.pos = pre_repair_positions;
         degraded = true;
       }
-      run.route = degraded
-                      ? route(grid, run.binding.graph, run.placement, route_options, pool)
-                      : router.take();
+      run.route = degraded ? route(grid, run.binding.graph, run.placement, route_options)
+                           : router.take();
     }
     const CongestionMap congestion_map(grid);
     run.congestion = congestion_map.stats();
@@ -413,7 +404,7 @@ FlowIterationResult congestion_aware_flow(const DesignContext& context,
   ThreadPool* pool = context.pool(options.num_threads);
   const std::size_t window =
       pool == nullptr ? 1 : resolve_num_threads(options.num_threads);
-  if (pool != nullptr && k_schedule.size() > 1 && options.use_match_cache) {
+  if (pool != nullptr && k_schedule.size() > 1) {
     // Warm the match cache up front so the K-independent build happens once,
     // pool-parallel, instead of racing inside the first window.
     context.match_database(options.partition, options.metric, pool);
@@ -496,69 +487,19 @@ KRefineResult refine_k(const DesignContext& context, double k_low, double k_high
   CALS_CHECK_MSG(result.best.metrics.routing_violations == 0,
                  "refine_k: k_high must be routable");
 
-  // The serial bisection update; the speculative path below replays it in
-  // the identical order, so best/k match the serial search bit for bit.
-  const auto apply = [&](double k, FlowRun&& run) {
+  for (std::uint32_t i = 0; i < iterations; ++i) {
+    const double mid = 0.5 * (k_low + k_high);
+    options.K = mid;
+    FlowRun run = context.run(options);
+    ++result.evaluations;
     if (run.metrics.routing_violations == 0) {
-      k_high = k;
+      k_high = mid;
       if (run.metrics.cell_area_um2 <= result.best.metrics.cell_area_um2) {
         result.best = std::move(run);
-        result.k = k;
+        result.k = mid;
       }
     } else {
-      k_low = k;
-    }
-  };
-
-  ThreadPool* pool = context.pool(options.num_threads);
-  if (pool == nullptr) {
-    for (std::uint32_t i = 0; i < iterations; ++i) {
-      const double mid = 0.5 * (k_low + k_high);
-      options.K = mid;
-      FlowRun run = context.run(options);
-      ++result.evaluations;
-      apply(mid, std::move(run));
-    }
-    return result;
-  }
-
-  // Speculative bisection: the probe after `mid` is one of two known K
-  // values (the midpoint of whichever half-interval survives), so each batch
-  // evaluates mid plus both successors concurrently and resolves two
-  // iterations per batch — half the serial latency at 1.5x the work.
-  if (options.use_match_cache)
-    context.match_database(options.partition, options.metric, pool);
-  for (std::uint32_t i = 0; i < iterations;) {
-    const double mid = 0.5 * (k_low + k_high);
-    const double mid_if_routable = 0.5 * (k_low + mid);
-    const double mid_if_blocked = 0.5 * (mid + k_high);
-    const bool need_successor = i + 1 < iterations;
-    FlowRun run_mid, run_routable, run_blocked;
-    {
-      ThreadPool::TaskGroup group(*pool);
-      const auto launch = [&](double k, FlowRun& out) {
-        group.run([&context, &options, k, &out] {
-          FlowOptions point = options;
-          point.K = k;
-          out = context.run(point);
-        });
-      };
-      launch(mid, run_mid);
-      if (need_successor) {
-        launch(mid_if_routable, run_routable);
-        launch(mid_if_blocked, run_blocked);
-      }
-      group.wait();
-    }
-    result.evaluations += need_successor ? 3 : 1;
-
-    const bool mid_routable = run_mid.metrics.routing_violations == 0;
-    apply(mid, std::move(run_mid));
-    ++i;
-    if (need_successor) {
-      const double next = mid_routable ? mid_if_routable : mid_if_blocked;
-      apply(next, mid_routable ? std::move(run_routable) : std::move(run_blocked));
-      ++i;
+      k_low = mid;
     }
   }
   return result;

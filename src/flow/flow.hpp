@@ -13,16 +13,16 @@
 /// DesignContext owns the per-floorplan state (base network, its lowering,
 /// the initial placement); FlowRun is one K evaluation.
 ///
-/// K sweeps reuse and parallelize aggressively (see DESIGN.md §6):
+/// K sweeps reuse and parallelize where work is independent (DESIGN.md §6):
 ///  * the K-independent matching front end (subject forest + per-vertex match
 ///    candidates) is memoized per {partition, metric} inside DesignContext;
-///  * the covering DP splits across a shared cals::ThreadPool;
-///  * congestion_aware_flow / refine_k / find_min_routable_rows evaluate
-///    independent (or speculative) K and row probes concurrently.
-/// All of it is bit-identical to the serial path: FlowOptions::num_threads=1
-/// with use_match_cache=false reproduces the original implementation exactly,
-/// and any other configuration produces the same covers, areas, wirelengths
-/// and critical paths.
+///  * match enumeration and the covering DP split across a shared
+///    cals::ThreadPool;
+///  * congestion_aware_flow and find_min_routable_rows evaluate windows of K
+///    and row probes concurrently.
+/// Placement and routing inside one evaluation are serial. Every
+/// FlowOptions::num_threads value produces the same covers, areas,
+/// wirelengths and critical paths as num_threads=1.
 
 #include <cstdint>
 #include <map>
@@ -68,19 +68,13 @@ struct FlowOptions {
   /// Detailed-placement refinement passes after legalization (0 = off, the
   /// paper's configuration; see place/refine.hpp).
   std::uint32_t refine_passes = 0;
-  /// Worker threads for match building, tree covering, speculative parallel
-  /// placement, the router's parallel rip-up drain, and concurrent K / row
-  /// evaluations. 0 = an equal share of the machine given the evaluations
+  /// Worker threads for match building, tree covering, and concurrent K /
+  /// row evaluations. 0 = an equal share of the machine given the evaluations
   /// currently in flight (recommended_threads(flows_in_flight()): the whole
   /// machine for a lone run, hardware/J when J run() calls overlap — J
   /// concurrent default-option jobs no longer oversubscribe to J x cores);
-  /// 1 = the exact legacy serial path (no pool is created). Results are
-  /// bit-identical for every value.
+  /// 1 = no pool is created. Results are bit-identical for every value.
   std::uint32_t num_threads = 0;
-  /// Reuse the K-independent subject forest + match candidates across run()
-  /// calls (memoized per {partition, metric} inside DesignContext). Off =
-  /// rebuild the matching front end on every run, as the seed code did.
-  bool use_match_cache = true;
   // ---- guardrails (DESIGN.md §9) — defaults reproduce the seed flow ------
   /// Wall-clock budget per phase (map / place / route / STA), in seconds.
   /// Checked at phase boundaries (phases are not preempted): the first phase
@@ -106,7 +100,7 @@ struct FlowOptions {
   ErrorPolicy on_error = ErrorPolicy::kPropagate;
   /// Cooperative cancellation + deadline token (util/cancel.hpp), polled at
   /// phase boundaries and inside each phase's iteration loop (mapper DP
-  /// waves, placer bisection levels, router rip-up iterations, STA
+  /// waves, placer bisections, router rip-up iterations, STA
   /// propagation). A fired token unwinds as CancelledError; run_checked
   /// under kBestEffort maps it to the typed kCancelled /
   /// kDeadlineExceeded status with the partial artifacts built so far.
@@ -269,12 +263,8 @@ FlowIterationResult congestion_aware_flow(const DesignContext& context,
 /// that still routes. The paper's empirical rule is to keep the area penalty
 /// "within a few percent of the minimum area solution"; this automates it.
 /// Returns the best routable run found (the run at `k_high` if bisection
-/// never improves on it).
-/// With num_threads != 1 the bisection speculates one level ahead: each
-/// batch evaluates the probe K plus both possible successors concurrently,
-/// resolving two iterations per batch. best/k are identical to the serial
-/// search; `evaluations` counts actual runs, so it is larger when probes are
-/// speculative.
+/// never improves on it). The probes run one after another, so
+/// `evaluations` is always iterations + 1.
 struct KRefineResult {
   FlowRun best;
   double k = 0.0;

@@ -7,7 +7,6 @@
 #include "util/check.hpp"
 #include "util/obs.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace cals {
 namespace {
@@ -47,28 +46,11 @@ class Bisector {
         net_local_(graph.nets.size(), UINT32_MAX) {}
 
   /// Partitions region.objects into sides 0/1 across a cut of the region
-  /// along `axis_x` (true: vertical cut at x=mid, side 0 = low x).
-  ///
-  /// `scan_seed` is the pre-drawn rng.below(max(1, n)) value that seeds the
-  /// initial BFS cluster — drawn by the caller so speculative runs can
-  /// replay the exact serial rng stream. The output is a pure function of
-  /// (region.objects, axis_x, mid, the per-net external-pin counts read from
-  /// pos_, scan_seed): nothing else in the bisection touches positions. A
-  /// non-null `ext_out` receives those counts as (ext0, ext1) pairs in net
-  /// touch order — the signature that decides whether a speculative result
-  /// is still valid against live positions.
-  std::vector<std::uint8_t> run(const Region& region, bool axis_x, double mid,
-                                std::uint32_t scan_seed,
-                                std::vector<std::uint32_t>* ext_out = nullptr) {
+  /// along `axis_x` (true: vertical cut at x=mid, side 0 = low x). Draws
+  /// one value from `rng` to seed the initial BFS cluster.
+  std::vector<std::uint8_t> run(const Region& region, bool axis_x, double mid, Rng& rng) {
     init_locals(region, axis_x, mid);
-    if (ext_out != nullptr) {
-      ext_out->clear();
-      for (const LocalNet& net : nets_) {
-        ext_out->push_back(net.ext[0]);
-        ext_out->push_back(net.ext[1]);
-      }
-    }
-    init_partition(scan_seed);
+    init_partition(rng);
     CALS_OBS_COUNT("place.bisections", 1);
     for (std::uint32_t pass = 0; pass < options_.fm_passes; ++pass) {
       CALS_OBS_COUNT("place.fm_passes", 1);
@@ -77,35 +59,6 @@ class Bisector {
     auto side = side_;
     clear_locals(region);
     return side;
-  }
-
-  /// The terminal-propagation signature of run() — the (ext0, ext1) pairs in
-  /// the same net touch order — computed from the bisector's bound positions
-  /// without running the bisection. Used on the live positions during serial
-  /// replay to validate a speculative result.
-  void ext_signature(const Region& region, bool axis_x, double mid,
-                     std::vector<std::uint32_t>& out) {
-    out.clear();
-    for (std::uint32_t obj : region.objects) obj_local_[obj] = 0;
-    touched_nets_.clear();
-    for (std::uint32_t obj : region.objects) {
-      for (std::uint32_t ni = incidence_.offset[obj]; ni < incidence_.offset[obj + 1];
-           ++ni) {
-        const std::uint32_t net = incidence_.data[ni];
-        if (net_local_[net] != UINT32_MAX) continue;
-        net_local_[net] = 0;
-        touched_nets_.push_back(net);
-        std::uint32_t ext[2] = {0, 0};
-        for (std::uint32_t pin : graph_.nets[net].pins) {
-          if (obj_local_[pin] != UINT32_MAX) continue;
-          const double c = axis_x ? pos_[pin].x : pos_[pin].y;
-          ++ext[c < mid ? 0 : 1];
-        }
-        out.push_back(ext[0]);
-        out.push_back(ext[1]);
-      }
-    }
-    clear_locals(region);
   }
 
  private:
@@ -166,14 +119,14 @@ class Bisector {
 
   /// BFS-clustered initial partition: grow side 0 from a seed until it holds
   /// half the area, so FM starts from a connected cluster.
-  void init_partition(std::uint32_t scan_seed) {
+  void init_partition(Rng& rng) {
     const auto n = static_cast<std::uint32_t>(side_.size());
     std::fill(side_.begin(), side_.end(), static_cast<std::uint8_t>(1));
     std::vector<bool> visited(n, false);
     std::deque<std::uint32_t> queue;
     double area0 = 0.0;
     const double target = total_area_ * 0.5;
-    std::uint32_t scan = scan_seed;
+    auto scan = static_cast<std::uint32_t>(rng.below(std::max(1u, n)));
     std::uint32_t wrapped = 0;
     while (area0 < target && wrapped < 2) {
       if (queue.empty()) {
@@ -409,24 +362,8 @@ void spread_in_region(const Region& region, std::vector<Point>& pos) {
 
 }  // namespace
 
-namespace {
-
-/// Serial bisection stops at this predicate; levels and the speculative path
-/// must agree with it exactly.
-bool is_terminal(const Region& region, const PlaceOptions& options, double min_dim) {
-  return region.objects.size() <= options.min_bin_objects ||
-         (region.rect.width() <= min_dim && region.rect.height() <= min_dim);
-}
-
-/// Don't bother speculating levels smaller than this many movable objects:
-/// the per-task setup outweighs the bisections (tiny designs and low
-/// CALS_SCALE runs take the serial path end to end).
-constexpr std::size_t kMinSpeculativeLevelObjects = 1024;
-
-}  // namespace
-
 Placement global_place(const PlaceGraph& graph, const Floorplan& floorplan,
-                       const PlaceOptions& options, ThreadPool* pool) {
+                       const PlaceOptions& options, ThreadPool*) {
   graph.validate();
   CALS_TRACE_SCOPE_ARG("place.global", "objects", graph.num_objects);
   Placement result;
@@ -438,124 +375,52 @@ Placement global_place(const PlaceGraph& graph, const Floorplan& floorplan,
   Bisector bisector(graph, incidence, result.pos, options);
   Rng rng(options.seed);
 
-  // The historical FIFO work deque processes regions in exact BFS level
-  // order (children always append behind every unprocessed sibling), so the
-  // explicit level loop below visits regions in the identical sequence.
-  std::vector<Region> level;
-  {
-    Region top;
-    top.rect = floorplan.die();
-    for (std::uint32_t i = 0; i < graph.num_objects; ++i)
-      if (!graph.fixed[i]) top.objects.push_back(i);
-    level.push_back(std::move(top));
-  }
+  std::deque<Region> work;
+  Region top;
+  top.rect = floorplan.die();
+  for (std::uint32_t i = 0; i < graph.num_objects; ++i)
+    if (!graph.fixed[i]) top.objects.push_back(i);
+  work.push_back(std::move(top));
 
   const double min_dim = std::min(floorplan.row_height(), floorplan.site_width() * 4);
-  std::vector<std::uint32_t> live_sig;
-  while (!level.empty()) {
-    // Cancellation checkpoint once per bisection level (the serial driver;
-    // the per-region FM work below may fan out to the pool).
+  while (!work.empty()) {
+    Region region = std::move(work.front());
+    work.pop_front();
+    if (region.objects.size() <= options.min_bin_objects ||
+        (region.rect.width() <= min_dim && region.rect.height() <= min_dim)) {
+      spread_in_region(region, result.pos);
+      continue;
+    }
+    // Cancellation checkpoint once per bisection.
     cancel_point(options.cancel);
-    std::vector<Region> next;
+    const bool axis_x = region.rect.width() >= region.rect.height();
+    const double mid = axis_x ? (region.rect.lo.x + region.rect.hi.x) * 0.5
+                              : (region.rect.lo.y + region.rect.hi.y) * 0.5;
+    const auto side = bisector.run(region, axis_x, mid, rng);
 
-    // Pre-draw the BFS seed for every splittable region in level order —
-    // terminal regions draw nothing — reproducing the serial rng stream
-    // exactly (region object counts are fixed at level start).
-    std::vector<std::size_t> split;       // level indices of splittable regions
-    std::vector<std::uint32_t> scan_seeds;
-    std::size_t level_objects = 0;
-    for (std::size_t r = 0; r < level.size(); ++r) {
-      if (is_terminal(level[r], options, min_dim)) continue;
-      const auto n = static_cast<std::uint32_t>(level[r].objects.size());
-      split.push_back(r);
-      scan_seeds.push_back(static_cast<std::uint32_t>(rng.below(std::max(1u, n))));
-      level_objects += n;
+    Region child0;
+    Region child1;
+    child0.rect = region.rect;
+    child1.rect = region.rect;
+    if (axis_x) {
+      child0.rect.hi.x = mid;
+      child1.rect.lo.x = mid;
+    } else {
+      child0.rect.hi.y = mid;
+      child1.rect.lo.y = mid;
     }
-
-    // Speculative phase: bisect every splittable region of the level
-    // concurrently against a snapshot of the level-start positions. Each
-    // chunk owns a private Bisector (its own gain buckets and local-net
-    // scratch); results and their terminal-propagation signatures are kept
-    // for validation during the serial replay.
-    const bool speculate = pool != nullptr && split.size() >= 2 &&
-                           level_objects >= kMinSpeculativeLevelObjects;
-    std::vector<std::vector<std::uint8_t>> spec_side;
-    std::vector<std::vector<std::uint32_t>> spec_sig;
-    std::vector<Point> snapshot;
-    if (speculate) {
-      spec_side.resize(split.size());
-      spec_sig.resize(split.size());
-      snapshot = result.pos;
-      ThreadPool::parallel_chunks(
-          pool, split.size(), split.size(),
-          [&](std::size_t /*chunk*/, std::size_t lo, std::size_t hi) {
-            Bisector spec(graph, incidence, snapshot, options);
-            for (std::size_t i = lo; i < hi; ++i) {
-              const Region& region = level[split[i]];
-              const bool axis_x = region.rect.width() >= region.rect.height();
-              const double mid = axis_x ? (region.rect.lo.x + region.rect.hi.x) * 0.5
-                                        : (region.rect.lo.y + region.rect.hi.y) * 0.5;
-              spec_side[i] = spec.run(region, axis_x, mid, scan_seeds[i], &spec_sig[i]);
-            }
-          });
-    }
-
-    // Serial replay in level order. A bisection's output depends on live
-    // positions only through its external-pin signature, so a speculative
-    // side vector whose signature matches the live one is exactly what the
-    // serial bisector would produce; on mismatch (an earlier region of this
-    // level moved a terminal across the cut) rerun serially with the same
-    // pre-drawn seed.
-    std::size_t si = 0;
-    for (std::size_t r = 0; r < level.size(); ++r) {
-      Region& region = level[r];
-      if (is_terminal(region, options, min_dim)) {
-        spread_in_region(region, result.pos);
-        continue;
-      }
-      const bool axis_x = region.rect.width() >= region.rect.height();
-      const double mid = axis_x ? (region.rect.lo.x + region.rect.hi.x) * 0.5
-                                : (region.rect.lo.y + region.rect.hi.y) * 0.5;
-      std::vector<std::uint8_t> side;
-      if (speculate) {
-        bisector.ext_signature(region, axis_x, mid, live_sig);
-        if (live_sig == spec_sig[si]) {
-          side = std::move(spec_side[si]);
-          CALS_OBS_COUNT("place.spec_hits", 1);
-        } else {
-          side = bisector.run(region, axis_x, mid, scan_seeds[si]);
-          CALS_OBS_COUNT("place.spec_misses", 1);
-        }
+    for (std::size_t i = 0; i < region.objects.size(); ++i) {
+      const std::uint32_t obj = region.objects[i];
+      if (side[i] == 0) {
+        child0.objects.push_back(obj);
+        result.pos[obj] = child0.rect.center();
       } else {
-        side = bisector.run(region, axis_x, mid, scan_seeds[si]);
+        child1.objects.push_back(obj);
+        result.pos[obj] = child1.rect.center();
       }
-      ++si;
-
-      Region child0;
-      Region child1;
-      child0.rect = region.rect;
-      child1.rect = region.rect;
-      if (axis_x) {
-        child0.rect.hi.x = mid;
-        child1.rect.lo.x = mid;
-      } else {
-        child0.rect.hi.y = mid;
-        child1.rect.lo.y = mid;
-      }
-      for (std::size_t i = 0; i < region.objects.size(); ++i) {
-        const std::uint32_t obj = region.objects[i];
-        if (side[i] == 0) {
-          child0.objects.push_back(obj);
-          result.pos[obj] = child0.rect.center();
-        } else {
-          child1.objects.push_back(obj);
-          result.pos[obj] = child1.rect.center();
-        }
-      }
-      if (!child0.objects.empty()) next.push_back(std::move(child0));
-      if (!child1.objects.empty()) next.push_back(std::move(child1));
     }
-    level = std::move(next);
+    if (!child0.objects.empty()) work.push_back(std::move(child0));
+    if (!child1.objects.empty()) work.push_back(std::move(child1));
   }
   return result;
 }

@@ -28,23 +28,17 @@ struct PlaceOptions {
   double balance_tolerance = 0.1;
   /// Seed for deterministic tie-breaking.
   std::uint64_t seed = 1;
-  /// Cooperative cancellation, polled at bisection-level boundaries
+  /// Cooperative cancellation, polled before every bisection
   /// (util/cancel.hpp). Not owned; null = never cancelled. Excluded from
   /// content keys and wire formats — a runtime control, not a result knob.
   const CancelToken* cancel = nullptr;
 };
 
 /// Places all movable objects inside the die; fixed objects keep their
-/// positions. Returns one point per object.
-///
-/// A non-null `pool` parallelizes each bisection level speculatively:
-/// same-level regions are bisected concurrently against a level-start
-/// position snapshot (each task with its own FM gain buckets), then replayed
-/// serially — a speculative result is accepted only when its terminal-
-/// propagation signature matches the live positions, and recomputed serially
-/// otherwise. The result is bit-identical to the serial placer at any thread
-/// count; small levels fall back to the serial path outright.
+/// positions. Returns one point per object. Regions are bisected serially in
+/// FIFO order. The trailing ThreadPool* is ignored: it remains only for
+/// callers that still pass one.
 Placement global_place(const PlaceGraph& graph, const Floorplan& floorplan,
-                       const PlaceOptions& options = {}, ThreadPool* pool = nullptr);
+                       const PlaceOptions& options = {}, ThreadPool* = nullptr);
 
 }  // namespace cals

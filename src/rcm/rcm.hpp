@@ -27,9 +27,8 @@
 ///
 /// Determinism: every set in the loop is an explicitly ordered vector
 /// (gcells by score then index, cells by score then id, nets ascending),
-/// all arithmetic is straight-line double math, and the only parallelism is
-/// the router's plan/replay drain — bit-identical at any thread count — so
-/// repair-on results are reproducible for T=1..N.
+/// all arithmetic is straight-line double math, and the router is serial,
+/// so repair-on results do not depend on the thread count.
 
 #include <cstdint>
 #include <vector>

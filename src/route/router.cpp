@@ -10,7 +10,6 @@
 #include "util/check.hpp"
 #include "util/faults.hpp"
 #include "util/obs.hpp"
-#include "util/thread_pool.hpp"
 
 namespace cals {
 namespace {
@@ -59,12 +58,11 @@ inline std::uint64_t overflow_contribution(double usage, double capacity) {
 class RouterCore {
  public:
   RouterCore(RoutingGrid& grid, const PlaceGraph& graph, const Placement& placement,
-             const RouteOptions& options, RouteResult& result, ThreadPool* pool)
+             const RouteOptions& options, RouteResult& result)
       : grid_(grid),
         graph_(graph),
         options_(options),
         result_(result),
-        pool_(pool),
         nx_(grid.nx()),
         ny_(grid.ny()),
         num_h_(grid.num_h_edges()),
@@ -74,7 +72,8 @@ class RouterCore {
         h_usage_(grid.h_usage_data()),
         v_usage_(grid.v_usage_data()),
         h_history_(grid.h_history().data()),
-        v_history_(grid.v_history().data()) {
+        v_history_(grid.v_history().data()),
+        maze_(static_cast<std::size_t>(nx_) * ny_) {
     CALS_CHECK(nx_ < 0x10000 && ny_ < 0x10000);  // maze entries pack (y<<16)|x
     build_topology(placement);
     const std::size_t cells = static_cast<std::size_t>(nx_) * ny_;
@@ -104,8 +103,6 @@ class RouterCore {
         v_usage_cm_[cm] = v_usage_[static_cast<std::size_t>(y) * nx_ + x];
         v_history_cm_[cm] = v_history_[static_cast<std::size_t>(y) * nx_ + x];
       }
-    // Maze state (generation-stamped, so never cleared between calls).
-    maze_.ensure(cells, /*patched=*/false);
   }
 
   void run() {
@@ -489,9 +486,8 @@ class RouterCore {
     for (std::uint32_t i = 0; i < max_iterations; ++i) {
       const std::uint64_t overflow = total_overflow_;
       if (overflow == 0) break;
-      // Cancellation checkpoint: one relaxed load per iteration on the
-      // serial driver (never inside the parallel drain) — a fired token
-      // unwinds mid-route within one rip-up iteration.
+      // Cancellation checkpoint: one relaxed load per iteration — a fired
+      // token unwinds mid-route within one rip-up iteration.
       cancel_point(options_.cancel);
       // Cooperative fault point: a kFail injection stops rip-up while
       // overflow remains, forcing a non-converged (Infeasible) result.
@@ -544,11 +540,7 @@ class RouterCore {
       const std::int32_t margin = options_.bbox_margin + static_cast<std::int32_t>(2 * iter);
 
       const std::uint64_t pops_before = maze_pops_;
-      if (pool_ == nullptr) {
-        drain_serial(stats, margin);
-      } else {
-        drain_parallel(stats, margin);
-      }
+      drain(stats, margin);
       stats.maze_pops = maze_pops_ - pops_before;
       result_.iter_stats.push_back(stats);
       CALS_OBS_COUNT("route.rrr_iterations", 1);
@@ -557,16 +549,11 @@ class RouterCore {
     }
   }
 
-  // ---- rip-up drains ------------------------------------------------------
+  // ---- rip-up drain --------------------------------------------------------
 
-  struct MazeScratch;  // defined with the maze below
-
-  std::vector<GCell>& seg_path(std::uint32_t seg) { return seg_paths_[seg]; }
-
-  /// The reference drain: pop candidates in ascending order, rip up and
-  /// maze-reroute every one whose path still overflows. This is the
-  /// semantics the parallel drain reproduces bit for bit.
-  void drain_serial(RouteIterStats& stats, std::int32_t margin) {
+  /// Pops candidates in ascending order, rips up and maze-reroutes every one
+  /// whose path still overflows.
+  void drain(RouteIterStats& stats, std::int32_t margin) {
     while (!cand_heap_.empty()) {
       const std::uint32_t seg = pop_candidate();
       ++stats.candidates;
@@ -577,179 +564,6 @@ class RouterCore {
       commit_path(reroute_path_, 1.0, seg);
       path.assign(reroute_path_.begin(), reroute_path_.end());
       ++stats.rerouted;
-    }
-  }
-
-  /// A candidate's maze bounding box in gcells (inclusive). Every edge its
-  /// reroute can read or write — the ripped-up old path (routed inside this
-  /// box at a smaller margin, or the endpoint bbox by pattern) and the new
-  /// maze path — has both endpoint cells inside this box, so two candidates
-  /// with disjoint boxes share no routing state whatsoever.
-  struct PlanRect {
-    std::int32_t x_lo, x_hi, y_lo, y_hi;
-  };
-
-  PlanRect seg_rect(std::uint32_t seg, std::int32_t margin) const {
-    const GCell a = segments_[seg].a;
-    const GCell b = segments_[seg].b;
-    return {std::max(0, std::min(a.x, b.x) - margin),
-            std::min(nx_ - 1, std::max(a.x, b.x) + margin),
-            std::max(0, std::min(a.y, b.y) - margin),
-            std::min(ny_ - 1, std::max(a.y, b.y) + margin)};
-  }
-
-  static bool rects_intersect(const PlanRect& p, const PlanRect& q) {
-    return p.x_lo <= q.x_hi && q.x_lo <= p.x_hi && p.y_lo <= q.y_hi && q.y_lo <= p.y_hi;
-  }
-
-  /// One speculatively planned reroute: the candidate, its maze box, and the
-  /// path (with its pop count) a planner computed against pre-replay state.
-  struct SegPlan {
-    std::uint32_t seg = 0;
-    PlanRect rect{};
-    std::vector<GCell> path;
-    std::uint64_t pops = 0;
-  };
-
-  /// Picks the front of the candidate heap (in the exact ascending replay
-  /// order) whose maze boxes are pairwise disjoint, skipping candidates
-  /// whose current path no longer overflows. Bounded scan: planning is
-  /// speculation, and batches beyond ~2 per worker can't execute anyway.
-  void select_plans(std::int32_t margin, std::vector<SegPlan>& plans) {
-    plans.clear();
-    heap_snapshot_ = cand_heap_;
-    const std::size_t max_plans = 2 * static_cast<std::size_t>(pool_->num_workers());
-    const std::size_t max_scan = 4 * max_plans;
-    std::size_t scanned = 0;
-    while (!heap_snapshot_.empty() && plans.size() < max_plans && scanned < max_scan) {
-      std::pop_heap(heap_snapshot_.begin(), heap_snapshot_.end(), std::greater<>());
-      const std::uint32_t seg = heap_snapshot_.back();
-      heap_snapshot_.pop_back();
-      ++scanned;
-      if (!path_overflows(seg_path(seg))) continue;
-      SegPlan plan;
-      plan.seg = seg;
-      plan.rect = seg_rect(seg, margin);
-      bool overlaps = false;
-      for (const SegPlan& other : plans)
-        if (rects_intersect(plan.rect, other.rect)) {
-          overlaps = true;
-          break;
-        }
-      if (!overlaps) plans.push_back(std::move(plan));
-    }
-  }
-
-  /// Runs the planned mazes concurrently. Planners only read shared router
-  /// state (costs, usage, paths) — safe because the replay that mutates it
-  /// starts strictly after the group joins. The one divergence from replay
-  /// state is the candidate's own rip-up, which the serial router performs
-  /// before its maze: each planner patches the cost of its old path's edges
-  /// to edge_cost(usage - 1, ...) in per-task overlay arrays instead.
-  void plan_parallel(std::vector<SegPlan>& plans, std::int32_t margin) {
-    const std::size_t cells = static_cast<std::size_t>(nx_) * ny_;
-    const std::size_t chunks = ThreadPool::num_chunks(pool_, plans.size(), plans.size());
-    while (plan_scratch_.size() < chunks)
-      plan_scratch_.push_back(std::make_unique<MazeScratch>());
-    ThreadPool::parallel_chunks(
-        pool_, plans.size(), plans.size(),
-        [&](std::size_t chunk, std::size_t lo, std::size_t hi) {
-          MazeScratch& s = *plan_scratch_[chunk];
-          s.ensure(cells, /*patched=*/true);
-          for (std::size_t i = lo; i < hi; ++i) {
-            SegPlan& plan = plans[i];
-            patch_own_path(s, seg_path(plan.seg));
-            plan.pops = maze_core<true>(segments_[plan.seg].a, segments_[plan.seg].b,
-                                        margin, s, plan.path);
-          }
-        });
-  }
-
-  /// Overlays the rip-up of `path` onto a planner's cost view: for each of
-  /// its edges the serial router would have recomputed the cached cost from
-  /// usage - 1 before running the maze.
-  void patch_own_path(MazeScratch& s, const std::vector<GCell>& path) const {
-    ++s.patch_generation;
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      const GCell a = path[i];
-      const GCell b = path[i + 1];
-      if (a.y == b.y) {
-        const std::size_t e = static_cast<std::size_t>(a.y) * (nx_ - 1) + std::min(a.x, b.x);
-        const std::size_t idx = static_cast<std::size_t>(a.y) * nx_ + std::min(a.x, b.x);
-        s.h_patch_stamp[idx] = s.patch_generation;
-        s.h_patch_val[idx] = edge_cost(h_usage_[e] - 1.0, cap_h_, h_history_[e], penalty_);
-      } else {
-        const std::size_t e = static_cast<std::size_t>(std::min(a.y, b.y)) * nx_ + a.x;
-        s.v_patch_stamp[e] = s.patch_generation;
-        s.v_patch_val[e] = edge_cost(v_usage_[e] - 1.0, cap_v_, v_history_[e], penalty_);
-      }
-    }
-  }
-
-  /// Serial replay of one planned batch: pops the real heap exactly like
-  /// drain_serial and accepts a plan iff it is the next one in order and no
-  /// earlier reroute of this batch dirtied its box (every state change is
-  /// confined to the reroute's own box, so a disjoint plan saw exactly the
-  /// state the serial maze would). Everything else — skips, newly enqueued
-  /// candidates, invalidated plans — reroutes inline on the main scratch.
-  void replay_plans(std::vector<SegPlan>& plans, RouteIterStats& stats,
-                    std::int32_t margin) {
-    dirtied_.clear();
-    std::size_t next_plan = 0;
-    while (!cand_heap_.empty() && next_plan < plans.size()) {
-      const std::uint32_t seg = pop_candidate();
-      ++stats.candidates;
-      SegPlan* plan = nullptr;
-      if (plans[next_plan].seg == seg) plan = &plans[next_plan++];
-      std::vector<GCell>& path = seg_paths_[seg];
-      if (!path_overflows(path)) continue;
-      commit_path(path, -1.0, seg);
-      const PlanRect rect = plan != nullptr ? plan->rect : seg_rect(seg, margin);
-      bool valid = plan != nullptr;
-      for (const PlanRect& d : dirtied_) {
-        if (!valid) break;
-        valid = !rects_intersect(rect, d);
-      }
-      const std::vector<GCell>* new_path;
-      if (valid) {
-        new_path = &plan->path;
-        maze_pops_ += plan->pops;
-        CALS_OBS_COUNT("route.plan_hits", 1);
-      } else {
-        maze_route(segments_[seg].a, segments_[seg].b, margin);
-        new_path = &reroute_path_;
-        if (plan != nullptr) CALS_OBS_COUNT("route.plan_misses", 1);
-      }
-      commit_path(*new_path, 1.0, seg);
-      path.assign(new_path->begin(), new_path->end());
-      ++stats.rerouted;
-      dirtied_.push_back(rect);
-    }
-  }
-
-  /// Minimum candidates before a planning round is worth scheduling; below
-  /// it (tiny designs, tail of an iteration) the serial drain finishes the
-  /// heap without task overhead.
-  static constexpr std::size_t kMinPlanningHeap = 8;
-
-  /// Region-partitioned parallel drain: repeat select → plan (concurrent) →
-  /// replay (serial, validated) rounds until the heap runs dry, falling back
-  /// to the serial drain whenever a round can't find at least two disjoint
-  /// plannable candidates.
-  void drain_parallel(RouteIterStats& stats, std::int32_t margin) {
-    std::vector<SegPlan> plans;
-    while (!cand_heap_.empty()) {
-      if (cand_heap_.size() < kMinPlanningHeap) {
-        drain_serial(stats, margin);
-        return;
-      }
-      select_plans(margin, plans);
-      if (plans.size() < 2) {
-        drain_serial(stats, margin);
-        return;
-      }
-      plan_parallel(plans, margin);
-      replay_plans(plans, stats, margin);
     }
   }
 
@@ -802,35 +616,16 @@ class RouterCore {
   }
 
   /// Everything one maze search owns: the generation-stamped distance
-  /// labels, the open heap, the backtrack buffer, and (for speculative
-  /// planners only) the own-path cost overlay. The router's serial drain
-  /// uses one instance for its whole lifetime; each planning task owns the
-  /// scratch slot matching its chunk index.
+  /// labels, the open heap and the backtrack buffer. One instance serves
+  /// every reroute of the router's lifetime.
   struct MazeScratch {
     std::vector<double> dist;
     std::vector<std::uint32_t> stamp;
     std::uint32_t generation = 0;
     std::vector<MazeEntry> heap;
     std::vector<std::int32_t> backtrack;
-    // Cost overlay (see patch_own_path), cell-indexed like h_cost_/v_cost_.
-    std::vector<double> h_patch_val, v_patch_val;
-    std::vector<std::uint32_t> h_patch_stamp, v_patch_stamp;
-    std::uint32_t patch_generation = 0;
 
-    void ensure(std::size_t cells, bool patched) {
-      if (dist.size() != cells) {
-        dist.assign(cells, 0.0);
-        stamp.assign(cells, 0);
-        generation = 0;
-      }
-      if (patched && h_patch_stamp.size() != cells) {
-        h_patch_val.assign(cells, 0.0);
-        v_patch_val.assign(cells, 0.0);
-        h_patch_stamp.assign(cells, 0);
-        v_patch_stamp.assign(cells, 0);
-        patch_generation = 0;
-      }
-    }
+    explicit MazeScratch(std::size_t cells) : dist(cells, 0.0), stamp(cells, 0) {}
   };
 
   /// Bounded-box shortest path, bit-identical to the straightforward
@@ -856,18 +651,7 @@ class RouterCore {
   /// hence exact), so the search touches the src–dst cost ellipse instead of
   /// the full cost ball. Writes the path into reroute_path_.
   void maze_route(GCell src, GCell dst, std::int32_t margin) {
-    maze_pops_ += maze_core<false>(src, dst, margin, maze_, reroute_path_);
-  }
-
-  /// The search itself, shared between the serial drain (kPatched = false —
-  /// the overlay checks compile away, keeping that path branch-free) and the
-  /// speculative planners (kPatched = true, reading the own-path rip-up
-  /// overlay of `s`). Touches no router state besides the shared read-only
-  /// cost caches, so concurrent calls on distinct scratch are safe. Returns
-  /// the pop count and writes the path into `out`.
-  template <bool kPatched>
-  std::uint64_t maze_core(GCell src, GCell dst, std::int32_t margin, MazeScratch& s,
-                          std::vector<GCell>& out) const {
+    MazeScratch& s = maze_;
     ++s.generation;
     const std::int32_t x_lo = std::max(0, std::min(src.x, dst.x) - margin);
     const std::int32_t x_hi = std::min(nx_ - 1, std::max(src.x, dst.x) + margin);
@@ -887,21 +671,7 @@ class RouterCore {
     const std::int32_t target = dst.y * nx_ + dst.x;
     const double* h_cost = h_cost_.data();
     const double* v_cost = v_cost_.data();
-    const auto h_at = [&](std::int32_t i) -> double {
-      if constexpr (kPatched) {
-        if (s.h_patch_stamp[static_cast<std::size_t>(i)] == s.patch_generation)
-          return s.h_patch_val[static_cast<std::size_t>(i)];
-      }
-      return h_cost[i];
-    };
-    const auto v_at = [&](std::int32_t i) -> double {
-      if constexpr (kPatched) {
-        if (s.v_patch_stamp[static_cast<std::size_t>(i)] == s.patch_generation)
-          return s.v_patch_val[static_cast<std::size_t>(i)];
-      }
-      return v_cost[i];
-    };
-    std::uint64_t pops = 0;  // register-local; published once by the caller
+    std::uint64_t pops = 0;  // register-local; published once at the end
     while (!s.heap.empty()) {
       if (s.stamp[target] == s.generation) {
         // Drain until nothing in the queue can still carry f at or below the
@@ -936,12 +706,13 @@ class RouterCore {
       const double h_right = static_cast<double>(std::abs(ux + 1 - dst.x) + std::abs(uy - dst.y));
       const double h_down = static_cast<double>(std::abs(ux - dst.x) + std::abs(uy - 1 - dst.y));
       const double h_up = static_cast<double>(std::abs(ux - dst.x) + std::abs(uy + 1 - dst.y));
-      if (ux > x_lo) relax(u - 1, top.yx - 1, h_at(u - 1), h_left);
-      if (ux < x_hi) relax(u + 1, top.yx + 1, h_at(u), h_right);
-      if (uy > y_lo) relax(u - nx_, top.yx - 0x10000u, v_at(u - nx_), h_down);
-      if (uy < y_hi) relax(u + nx_, top.yx + 0x10000u, v_at(u), h_up);
+      if (ux > x_lo) relax(u - 1, top.yx - 1, h_cost[u - 1], h_left);
+      if (ux < x_hi) relax(u + 1, top.yx + 1, h_cost[u], h_right);
+      if (uy > y_lo) relax(u - nx_, top.yx - 0x10000u, v_cost[u - nx_], h_down);
+      if (uy < y_hi) relax(u + nx_, top.yx + 0x10000u, v_cost[u], h_up);
     }
 
+    maze_pops_ += pops;
     CALS_CHECK_MSG(s.stamp[target] == s.generation, "maze route failed inside bbox");
     // Label-based backtrack: per hop, pick the predecessor the reference
     // implementation's from_ pointer would hold (see the contract above).
@@ -963,19 +734,18 @@ class RouterCore {
           best_d = s.dist[u];
         }
       };
-      if (vy > y_lo) consider(v - nx_, v_at(v - nx_));
-      if (vx > x_lo) consider(v - 1, h_at(v - 1));
-      if (vx < x_hi) consider(v + 1, h_at(v));
-      if (vy < y_hi) consider(v + nx_, v_at(v));
+      if (vy > y_lo) consider(v - nx_, v_cost[v - nx_]);
+      if (vx > x_lo) consider(v - 1, h_cost[v - 1]);
+      if (vx < x_hi) consider(v + 1, h_cost[v]);
+      if (vy < y_hi) consider(v + nx_, v_cost[v]);
       CALS_CHECK_MSG(best != -1, "maze backtrack lost the predecessor chain");
       s.backtrack.push_back(best);
       v = best;
     }
-    out.clear();
-    out.reserve(s.backtrack.size());
+    reroute_path_.clear();
+    reroute_path_.reserve(s.backtrack.size());
     for (std::size_t i = s.backtrack.size(); i-- > 0;)
-      out.push_back({s.backtrack[i] % nx_, s.backtrack[i] / nx_});
-    return pops;
+      reroute_path_.push_back({s.backtrack[i] % nx_, s.backtrack[i] / nx_});
   }
 
   // ---- wrap-up ------------------------------------------------------------
@@ -1006,7 +776,6 @@ class RouterCore {
   const PlaceGraph& graph_;
   const RouteOptions& options_;
   RouteResult& result_;
-  ThreadPool* const pool_;
   const std::int32_t nx_, ny_;
   const std::size_t num_h_, num_v_;
   const double cap_h_, cap_v_;
@@ -1051,15 +820,11 @@ class RouterCore {
   double penalty_ = 0.0;
   std::vector<double> h_cost_, v_cost_;
 
-  // Maze state, pooled across all reroutes of the call. maze_ serves the
-  // serial drain and inline replay reroutes; plan_scratch_ slots are owned
-  // by planning tasks (slot index == chunk index, lazily allocated).
+  // Maze state, pooled across all reroutes of the call (generation-stamped,
+  // so never cleared between searches).
   MazeScratch maze_;
   std::vector<GCell> reroute_path_;
   std::uint64_t maze_pops_ = 0;  ///< lifetime A* pops, differenced per iteration
-  std::vector<std::unique_ptr<MazeScratch>> plan_scratch_;
-  std::vector<std::uint32_t> heap_snapshot_;  ///< select_plans' heap copy
-  std::vector<PlanRect> dirtied_;             ///< boxes rerouted so far this replay
 };
 
 }  // namespace
@@ -1072,20 +837,18 @@ struct Router::Impl {
   RouterCore core;
 
   Impl(RoutingGrid& grid, const PlaceGraph& graph, const Placement& placement,
-       const RouteOptions& opts, ThreadPool* pool)
-      : options(opts),
-        core(grid, graph, placement, options, result,
-             pool != nullptr && pool->num_workers() > 1 ? pool : nullptr) {}
+       const RouteOptions& opts)
+      : options(opts), core(grid, graph, placement, options, result) {}
 };
 
 Router::Router(RoutingGrid& grid, const PlaceGraph& graph, const Placement& placement,
-               const RouteOptions& options, ThreadPool* pool) {
+               const RouteOptions& options, ThreadPool*) {
   // Same preconditions the one-shot route() has always established: the
   // session owns the grid's usage and history for its lifetime.
   grid.clear_usage();
   std::fill(grid.h_history().begin(), grid.h_history().end(), 0.0);
   std::fill(grid.v_history().begin(), grid.v_history().end(), 0.0);
-  impl_ = std::make_unique<Impl>(grid, graph, placement, options, pool);
+  impl_ = std::make_unique<Impl>(grid, graph, placement, options);
 }
 
 Router::~Router() = default;
@@ -1108,8 +871,8 @@ const RouteResult& Router::result() const { return impl_->result; }
 RouteResult Router::take() { return std::move(impl_->result); }
 
 RouteResult route(RoutingGrid& grid, const PlaceGraph& graph, const Placement& placement,
-                  const RouteOptions& options, ThreadPool* pool) {
-  Router router(grid, graph, placement, options, pool);
+                  const RouteOptions& options, ThreadPool*) {
+  Router router(grid, graph, placement, options);
   router.run();
   return router.take();
 }

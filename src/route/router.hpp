@@ -80,15 +80,15 @@ struct RouteResult {
 /// the escalation schedule (round counter), so repeated repair passes
 /// converge instead of renegotiating from scratch. The congestion repair
 /// loop (cals::rcm) drives exactly this cycle after each batch of cell
-/// moves; everything stays deterministic at any thread count (the parallel
-/// drain's plan/replay protocol is bit-identical to the serial one).
+/// moves. The session is single-threaded and deterministic.
 class Router {
  public:
   /// Builds the session and clears `grid` (usage + history), exactly as the
-  /// one-shot route() entry point always has. `options` is copied; `graph`,
-  /// `grid` and `pool` must outlive the session.
+  /// one-shot route() entry point always has. `options` is copied; `graph`
+  /// and `grid` must outlive the session. The trailing ThreadPool* is
+  /// ignored: it remains only for callers that still pass one.
   Router(RoutingGrid& grid, const PlaceGraph& graph, const Placement& placement,
-         const RouteOptions& options = {}, ThreadPool* pool = nullptr);
+         const RouteOptions& options = {}, ThreadPool* = nullptr);
   ~Router();
   Router(Router&&) noexcept;
   Router& operator=(Router&&) noexcept;
@@ -121,17 +121,10 @@ class Router {
 /// The grid's usage is left at the final solution so congestion maps can be
 /// derived from it afterwards.
 ///
-/// A non-null `pool` parallelizes the rip-up drain: candidate segments whose
-/// maze bounding boxes are pairwise disjoint are planned concurrently (each
-/// task on private maze scratch), then committed by a serial replay that
-/// accepts a plan only when no earlier reroute touched its box and reroutes
-/// inline otherwise. Paths, stats and the final grid state are bit-identical
-/// to the serial router at any thread count; small candidate sets drain
-/// serially outright.
-///
 /// Equivalent to `Router(...).run()` + take(): the one-shot entry point and
-/// the incremental session share one implementation.
+/// the incremental session share one implementation. The trailing
+/// ThreadPool* is ignored, as in Router's constructor.
 RouteResult route(RoutingGrid& grid, const PlaceGraph& graph, const Placement& placement,
-                  const RouteOptions& options = {}, ThreadPool* pool = nullptr);
+                  const RouteOptions& options = {}, ThreadPool* = nullptr);
 
 }  // namespace cals

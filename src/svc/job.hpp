@@ -11,9 +11,9 @@
 ///   (design bytes, library bytes, canonicalized options)
 /// where the canonical options string enumerates every FlowOptions /
 /// floorplan field that can change the produced FlowMetrics — and
-/// deliberately EXCLUDES `num_threads` and `use_match_cache`, which the
-/// flow layer guarantees are bit-identical knobs (DESIGN.md §6), so a job
-/// run serial and a job run on eight workers share one cache entry.
+/// deliberately EXCLUDES `num_threads`, which the flow layer guarantees is
+/// a bit-identical knob (DESIGN.md §6), so a job run serial and a job run
+/// on eight workers share one cache entry.
 
 #include <cstdint>
 #include <string>
@@ -112,9 +112,8 @@ std::uint64_t fnv1a64(std::string_view text,
 
 /// The canonical result-determining option string: every FlowOptions,
 /// floorplan and front-end field that can change FlowMetrics, in a fixed
-/// order with exact (%.17g) doubles. Excludes num_threads/use_match_cache
-/// (bit-identical by contract) and on_error (changes error reporting, not
-/// results).
+/// order with exact (%.17g) doubles. Excludes num_threads (bit-identical by
+/// contract) and on_error (changes error reporting, not results).
 std::string canonical_job_options(const JobSpec& spec);
 
 /// The persistent cache key: 16 lowercase hex chars of fnv1a64 chained over

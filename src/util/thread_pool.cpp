@@ -185,36 +185,4 @@ void ThreadPool::parallel_for(ThreadPool* pool, std::size_t begin, std::size_t e
   group.wait();
 }
 
-std::size_t ThreadPool::num_chunks(ThreadPool* pool, std::size_t count,
-                                   std::size_t max_tasks) {
-  if (count == 0) return 0;
-  if (pool == nullptr) return 1;
-  return std::max<std::size_t>(
-      1, std::min({count, std::max<std::size_t>(max_tasks, 1),
-                   static_cast<std::size_t>(pool->num_workers())}));
-}
-
-std::size_t ThreadPool::parallel_chunks(
-    ThreadPool* pool, std::size_t count, std::size_t max_tasks,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
-  const std::size_t chunks = num_chunks(pool, count, max_tasks);
-  if (chunks == 0) return 0;
-  if (chunks == 1) {
-    fn(0, 0, count);
-    return 1;
-  }
-  TaskGroup group(*pool);
-  // Balanced split: the first (count % chunks) chunks take one extra item.
-  const std::size_t base = count / chunks;
-  const std::size_t extra = count % chunks;
-  std::size_t lo = 0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t hi = lo + base + (c < extra ? 1 : 0);
-    group.run([&fn, c, lo, hi] { fn(c, lo, hi); });
-    lo = hi;
-  }
-  group.wait();
-  return chunks;
-}
-
 }  // namespace cals

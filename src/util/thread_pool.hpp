@@ -3,7 +3,8 @@
 /// A small shared worker pool for the flow's reuse-and-parallelism layer:
 /// concurrent K evaluations, parallel match building, and wavefront tree
 /// covering all run on one pool so the total thread count stays bounded by
-/// FlowOptions::num_threads.
+/// FlowOptions::num_threads. Placement and routing inside one evaluation
+/// are serial and never use it.
 ///
 /// Design notes:
 ///  * Tasks are submitted through a TaskGroup (fork/join). `wait()` *helps*:
@@ -82,22 +83,6 @@ class ThreadPool {
   static void parallel_for(ThreadPool* pool, std::size_t begin, std::size_t end,
                            std::size_t grain,
                            const std::function<void(std::size_t, std::size_t)>& fn);
-
-  /// Batch variant for algorithms that carry per-task scratch state (the
-  /// router's maze planners, the placer's speculative bisectors): splits
-  /// [0, count) into num_chunks(pool, count, max_tasks) balanced contiguous
-  /// chunks and calls fn(chunk, lo, hi) with a stable chunk index, so task
-  /// `chunk` exclusively owns scratch slot `chunk` of a caller-sized pool.
-  /// Runs fn inline (single chunk 0) when the split degenerates to one
-  /// chunk; does nothing when count == 0. Returns the number of chunks.
-  static std::size_t parallel_chunks(
-      ThreadPool* pool, std::size_t count, std::size_t max_tasks,
-      const std::function<void(std::size_t, std::size_t, std::size_t)>& fn);
-
-  /// The chunk count parallel_chunks will use: min(count, max_tasks, and the
-  /// pool's worker count) — 1 when the pool is null. Callers size their
-  /// per-chunk scratch with this before invoking parallel_chunks.
-  static std::size_t num_chunks(ThreadPool* pool, std::size_t count, std::size_t max_tasks);
 
  private:
   void submit(std::function<void()> task);

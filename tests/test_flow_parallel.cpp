@@ -1,7 +1,7 @@
 /// Determinism contract of the reuse-and-parallelism layer (DESIGN.md §6):
-/// any FlowOptions::num_threads / use_match_cache configuration must produce
-/// results bit-identical to the legacy serial path (num_threads = 1, cache
-/// off) — same covers, cell areas, wirelengths and critical paths.
+/// any FlowOptions::num_threads value must produce results bit-identical to
+/// the serial path (num_threads = 1) — same covers, cell areas, wirelengths
+/// and critical paths.
 
 #include <gtest/gtest.h>
 
@@ -38,7 +38,6 @@ Floorplan test_floorplan() {
 FlowOptions serial_options() {
   FlowOptions options;
   options.num_threads = 1;
-  options.use_match_cache = false;  // the exact seed implementation
   options.replace_mapped = false;
   options.rgrid.capacity_scale = 3.5;
   return options;
@@ -47,7 +46,6 @@ FlowOptions serial_options() {
 FlowOptions parallel_options() {
   FlowOptions options = serial_options();
   options.num_threads = 4;
-  options.use_match_cache = true;
   return options;
 }
 
@@ -104,14 +102,17 @@ TEST(FlowParallel, RefineKBitIdenticalToSerial) {
       test_network().num_base_gates() * 5.3, 0.40, test_library().tech());
   const DesignContext serial_context(test_network(), &test_library(), fp);
   const DesignContext parallel_context(test_network(), &test_library(), fp);
+  constexpr std::uint32_t kIterations = 3;
   const KRefineResult serial =
-      refine_k(serial_context, 0.0, 1.0, 3, serial_options());
+      refine_k(serial_context, 0.0, 1.0, kIterations, serial_options());
   const KRefineResult parallel =
-      refine_k(parallel_context, 0.0, 1.0, 3, parallel_options());
+      refine_k(parallel_context, 0.0, 1.0, kIterations, parallel_options());
   EXPECT_DOUBLE_EQ(serial.k, parallel.k);
   expect_identical_run(serial.best, parallel.best);
-  // Speculation may evaluate more points, never fewer.
-  EXPECT_GE(parallel.evaluations, serial.evaluations);
+  // The bisection probes one K at a time at any thread count: the k_high
+  // run plus one run per iteration, nothing speculative.
+  EXPECT_EQ(serial.evaluations, kIterations + 1);
+  EXPECT_EQ(parallel.evaluations, kIterations + 1);
 }
 
 TEST(FlowParallel, RowSearchBitIdenticalToSerial) {
@@ -130,9 +131,9 @@ TEST(FlowParallel, RowSearchBitIdenticalToSerial) {
 }
 
 TEST(FlowParallel, ThreadCountSweepBitIdenticalAcrossPresets) {
-  // The multi-core pass contract end-to-end: the full flow (SoA-priced
-  // mapping, speculative parallel placement, parallel rip-up routing) at
-  // T = 2/4/8 reproduces the serial run bit-for-bit on every preset family.
+  // The multi-core contract end-to-end: the full flow (pool-parallel
+  // matching and covering, then serial placement and routing) at T = 2/4/8
+  // reproduces the serial run bit-for-bit on every preset family.
   ScopedLogLevel silence(LogLevel::kSilent);
   const Pla presets[] = {workloads::spla_like(kScale), workloads::pdc_like(kScale),
                          workloads::too_large_like(kScale)};
@@ -154,17 +155,6 @@ TEST(FlowParallel, ThreadCountSweepBitIdenticalAcrossPresets) {
       expect_identical_run(baseline, run);
     }
   }
-}
-
-TEST(FlowParallel, CacheOnSerialPoolAlsoIdentical) {
-  // The remaining configuration corner: match cache on, no pool.
-  ScopedLogLevel silence(LogLevel::kSilent);
-  const DesignContext context(test_network(), &test_library(), test_floorplan());
-  FlowOptions cached_serial = serial_options();
-  cached_serial.use_match_cache = true;
-  FlowOptions uncached = serial_options();
-  cached_serial.K = uncached.K = 0.2;
-  expect_identical_run(context.run(uncached), context.run(cached_serial));
 }
 
 }  // namespace

@@ -396,6 +396,7 @@ TEST_F(ObsTest, TracedFlowCoversAllPhasesAndExportsCongestionCsv) {
   const DesignContext context(net, &lib, fp);
   FlowOptions options;
   options.replace_mapped = false;
+  options.num_threads = 1;  // threads_used is asserted below
   const FlowRun run = context.run(options);
 
   // Every flow phase must appear as a span in the drained trace.

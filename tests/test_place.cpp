@@ -2,9 +2,7 @@
 
 #include "flow/baselines.hpp"
 #include "place/partition_place.hpp"
-#include "util/obs.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 #include "workloads/plagen.hpp"
 
 namespace cals {
@@ -87,63 +85,6 @@ TEST(GlobalPlace, Deterministic) {
   const Placement p2 = global_place(binding.graph, fp);
   EXPECT_EQ(p1.pos.size(), p2.pos.size());
   for (std::size_t i = 0; i < p1.pos.size(); ++i) EXPECT_EQ(p1.pos[i], p2.pos[i]);
-}
-
-TEST(GlobalPlace, ParallelMatchesSerialBitwise) {
-  // The speculative level-parallel placer must reproduce the serial result
-  // bit-for-bit at any thread count. The circuit is sized so bisection
-  // levels clear the speculation threshold (kMinSpeculativeLevelObjects) —
-  // the obs counters confirm the parallel path actually ran.
-  PlaGenSpec spec;
-  spec.num_inputs = 24;
-  spec.num_outputs = 14;
-  spec.num_products = 500;
-  spec.seed = 7;
-  BaseNetwork net = synthesize_base(generate_pla(spec));
-  net.build_fanouts();
-  const Floorplan fp = Floorplan::square_with_rows(30, TechParams{});
-  const BasePlaceBinding binding = lower_base_network(net, fp);
-  const Placement serial = global_place(binding.graph, fp);
-
-  obs::Registry::instance().reset();
-  obs::set_enabled(true);
-  for (const std::uint32_t threads : {2u, 4u, 8u}) {
-    ThreadPool pool(threads);
-    const Placement parallel = global_place(binding.graph, fp, {}, &pool);
-    ASSERT_EQ(parallel.pos.size(), serial.pos.size());
-    for (std::size_t i = 0; i < serial.pos.size(); ++i) {
-      ASSERT_EQ(parallel.pos[i], serial.pos[i])
-          << "object " << i << " at " << threads << " threads";
-    }
-  }
-  const std::uint64_t speculated =
-      obs::Registry::instance().counter("place.spec_hits").value() +
-      obs::Registry::instance().counter("place.spec_misses").value();
-  obs::set_enabled(false);
-  EXPECT_GT(speculated, 0u) << "speculative path never exercised";
-}
-
-TEST(GlobalPlace, TinyDesignFallsBackToSerialPath) {
-  // S2 guard: below the speculation threshold a pool must change nothing —
-  // the level loop takes the serial branch outright (no speculative tasks).
-  BaseNetwork net = small_circuit(8);
-  net.build_fanouts();
-  const Floorplan fp = Floorplan::square_with_rows(10, TechParams{});
-  const BasePlaceBinding binding = lower_base_network(net, fp);
-  const Placement serial = global_place(binding.graph, fp);
-
-  obs::Registry::instance().reset();
-  obs::set_enabled(true);
-  ThreadPool pool(4);
-  const Placement parallel = global_place(binding.graph, fp, {}, &pool);
-  const std::uint64_t speculated =
-      obs::Registry::instance().counter("place.spec_hits").value() +
-      obs::Registry::instance().counter("place.spec_misses").value();
-  obs::set_enabled(false);
-  EXPECT_EQ(speculated, 0u) << "tiny design should not spawn speculative tasks";
-  ASSERT_EQ(parallel.pos.size(), serial.pos.size());
-  for (std::size_t i = 0; i < serial.pos.size(); ++i)
-    EXPECT_EQ(parallel.pos[i], serial.pos[i]) << "object " << i;
 }
 
 TEST(GlobalPlace, BeatsRandomPlacementByFactor) {

@@ -15,7 +15,6 @@
 #include "place/legalize.hpp"
 #include "rcm/rcm.hpp"
 #include "route/router.hpp"
-#include "util/thread_pool.hpp"
 #include "workloads/presets.hpp"
 
 namespace cals {
@@ -63,12 +62,12 @@ struct RepairOutcome {
   Placement placement;
 };
 
-RepairOutcome run_repair(const rcm::RepairOptions& options, ThreadPool* pool) {
+RepairOutcome run_repair(const rcm::RepairOptions& options) {
   const RepairSetup& setup = RepairSetup::get();
   RepairOutcome out;
   out.placement = setup.placement;
   RoutingGrid grid(setup.fp, RepairSetup::congested_grid());
-  Router router(grid, setup.binding.graph, out.placement, {}, pool);
+  Router router(grid, setup.binding.graph, out.placement);
   router.run();
   out.stats = rcm::repair(router, grid, setup.binding.graph, setup.fp, out.placement,
                           options);
@@ -99,7 +98,7 @@ TEST(Rcm, ZeroPassesIsNoop) {
 
   rcm::RepairOptions options;
   options.passes = 0;
-  const RepairOutcome repaired = run_repair(options, nullptr);
+  const RepairOutcome repaired = run_repair(options);
   EXPECT_EQ(repaired.stats.passes_run, 0u);
   EXPECT_EQ(repaired.stats.cells_moved, 0u);
   expect_identical_routes(repaired.route, reference);
@@ -109,7 +108,7 @@ TEST(Rcm, ZeroPassesIsNoop) {
 TEST(Rcm, RemovesOverflowOnCongestedPreset) {
   rcm::RepairOptions options;
   options.passes = 3;
-  const RepairOutcome repaired = run_repair(options, nullptr);
+  const RepairOutcome repaired = run_repair(options);
   ASSERT_GT(repaired.stats.overflow_before, 0u) << "fixture must start overflowed";
   EXPECT_GT(repaired.stats.passes_run, 0u);
   EXPECT_GT(repaired.stats.cells_moved, 0u);
@@ -131,7 +130,7 @@ TEST(Rcm, RemovesOverflowOnCongestedPreset) {
 TEST(Rcm, RepairedPlacementStaysLegal) {
   rcm::RepairOptions options;
   options.passes = 3;
-  const RepairOutcome repaired = run_repair(options, nullptr);
+  const RepairOutcome repaired = run_repair(options);
   ASSERT_GT(repaired.stats.cells_moved, 0u);
 
   const RepairSetup& setup = RepairSetup::get();
@@ -162,22 +161,6 @@ TEST(Rcm, RepairedPlacementStaysLegal) {
     std::sort(row.begin(), row.end());
     for (std::size_t i = 1; i < row.size(); ++i)
       EXPECT_LE(row[i - 1].second, row[i].first) << "overlap in a row";
-  }
-}
-
-TEST(Rcm, BitIdenticalAcrossThreadCounts) {
-  rcm::RepairOptions options;
-  options.passes = 2;
-  const RepairOutcome serial = run_repair(options, nullptr);
-  ASSERT_GT(serial.stats.cells_moved, 0u);
-  for (const std::uint32_t threads : {2u, 4u, 8u}) {
-    ThreadPool pool(threads);
-    const RepairOutcome parallel = run_repair(options, &pool);
-    EXPECT_EQ(parallel.stats.passes_run, serial.stats.passes_run) << threads;
-    EXPECT_EQ(parallel.stats.cells_moved, serial.stats.cells_moved) << threads;
-    EXPECT_EQ(parallel.stats.overflow_after, serial.stats.overflow_after) << threads;
-    expect_identical_routes(parallel.route, serial.route);
-    EXPECT_EQ(parallel.placement.pos, serial.placement.pos) << threads;
   }
 }
 

@@ -18,7 +18,6 @@
 #include "place/legalize.hpp"
 #include "route/router.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 #include "workloads/presets.hpp"
 
 namespace cals {
@@ -313,52 +312,6 @@ TEST(RouteEquivalence, CongestedRandomWorkload) { run_equivalence(11, 0.3); }
 
 TEST(RouteEquivalence, OverflowedRandomWorkload) { run_equivalence(7, 0.15); }
 
-// ---- parallel rip-up equivalence ------------------------------------------
-// The region-partitioned parallel drain (disjoint maze-bbox planning +
-// serial validated replay) must be bit-identical to the serial router at any
-// thread count — down to the per-iteration telemetry, which pins that the
-// parallel path replays the exact candidate/pop sequence rather than merely
-// converging to the same answer.
-
-void expect_identical_with_stats(const RouteResult& par, const RouteResult& ser) {
-  expect_identical(par, ser);
-  ASSERT_EQ(par.iter_stats.size(), ser.iter_stats.size());
-  for (std::size_t i = 0; i < par.iter_stats.size(); ++i) {
-    EXPECT_EQ(par.iter_stats[i].overflow, ser.iter_stats[i].overflow) << "iter " << i;
-    EXPECT_EQ(par.iter_stats[i].dirty_edges, ser.iter_stats[i].dirty_edges)
-        << "iter " << i;
-    EXPECT_EQ(par.iter_stats[i].candidates, ser.iter_stats[i].candidates)
-        << "iter " << i;
-    EXPECT_EQ(par.iter_stats[i].rerouted, ser.iter_stats[i].rerouted) << "iter " << i;
-    EXPECT_EQ(par.iter_stats[i].maze_pops, ser.iter_stats[i].maze_pops)
-        << "iter " << i;
-  }
-}
-
-void run_parallel_equivalence(std::uint64_t seed, double capacity_scale) {
-  Fixture f;
-  Rng rng(seed);
-  std::vector<std::uint32_t> objs;
-  for (int i = 0; i < 50; ++i) objs.push_back(f.pin(rng.uniform() * 60, rng.uniform() * 60));
-  for (int n = 0; n < 60; ++n)
-    f.net({objs[rng.below(50)], objs[rng.below(50)], objs[rng.below(50)]});
-  RGridOptions options;
-  options.capacity_scale = capacity_scale;
-  RoutingGrid serial_grid(f.fp, options);
-  const RouteResult serial = route(serial_grid, f.graph, f.placement);
-  ASSERT_GT(serial.rrr_iterations, 0u);
-  for (const std::uint32_t threads : {2u, 4u, 8u}) {
-    ThreadPool pool(threads);
-    RoutingGrid grid(f.fp, options);
-    const RouteResult parallel = route(grid, f.graph, f.placement, {}, &pool);
-    expect_identical_with_stats(parallel, serial);
-  }
-}
-
-TEST(RouteParallel, CongestedMatchesSerial) { run_parallel_equivalence(11, 0.3); }
-
-TEST(RouteParallel, OverflowedMatchesSerial) { run_parallel_equivalence(7, 0.15); }
-
 // ---- golden regression on the spla-like preset ----------------------------
 
 struct SplaRouteSetup {
@@ -408,23 +361,6 @@ TEST(RouteGolden, SplaLikeCongested) {
   options.capacity_scale = 1.6;  // just under the routability cliff
   RoutingGrid grid(setup.fp, options);
   const RouteResult result = route(grid, setup.binding.graph, setup.placement);
-  EXPECT_EQ(result.total_overflow, 2u);
-  EXPECT_EQ(result.overflowed_edges, 2u);
-  EXPECT_EQ(result.wirelength_gcells, 17908u);
-  EXPECT_EQ(result.rrr_iterations, 12u);
-  EXPECT_NEAR(result.wirelength_um, 114611.2, 1e-6);
-}
-
-TEST(RouteGolden, SplaLikeCongestedParallelMatchesGolden) {
-  // The parallel drain must reproduce the serial goldens above exactly on
-  // the heavy rip-up workload (12 iterations of negotiation).
-  const SplaRouteSetup& setup = SplaRouteSetup::get();
-  RGridOptions options;
-  options.capacity_scale = 1.6;
-  ThreadPool pool(4);
-  RoutingGrid grid(setup.fp, options);
-  const RouteResult result =
-      route(grid, setup.binding.graph, setup.placement, {}, &pool);
   EXPECT_EQ(result.total_overflow, 2u);
   EXPECT_EQ(result.overflowed_edges, 2u);
   EXPECT_EQ(result.wirelength_gcells, 17908u);

@@ -167,13 +167,12 @@ TEST(SvcJob, CacheKeyIsStableAndContentSensitive) {
 }
 
 TEST(SvcJob, CacheKeyIgnoresBitIdenticalKnobs) {
-  // num_threads and use_match_cache never change results (DESIGN.md §6),
-  // so a serial and a parallel run must share one cache entry. The job
-  // label and error policy don't change results either.
+  // num_threads never changes results (DESIGN.md §6), so a serial and a
+  // parallel run must share one cache entry. The job label and error policy
+  // don't change results either.
   const JobSpec base = tiny_job();
   JobSpec variant = base;
   variant.options.num_threads = 8;
-  variant.options.use_match_cache = !base.options.use_match_cache;
   variant.options.on_error = ErrorPolicy::kPropagate;
   variant.name = "renamed";
   variant.priority = 7;

@@ -78,46 +78,6 @@ TEST(ThreadPool, ParallelForEmptyRange) {
   EXPECT_FALSE(called);
 }
 
-TEST(ThreadPool, ParallelChunksCoversRangeWithStableChunkIds) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(100);
-  const std::size_t expected = ThreadPool::num_chunks(&pool, hits.size(), 6);
-  std::vector<std::atomic<int>> chunk_hits(expected);
-  const std::size_t chunks = ThreadPool::parallel_chunks(
-      &pool, hits.size(), 6,
-      [&](std::size_t chunk, std::size_t lo, std::size_t hi) {
-        ASSERT_LT(chunk, expected);
-        ASSERT_LE(lo, hi);
-        ++chunk_hits[chunk];
-        for (std::size_t i = lo; i < hi; ++i) ++hits[i];
-      });
-  EXPECT_EQ(chunks, expected);
-  EXPECT_LE(chunks, 6u);
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);  // exactly-once coverage
-  for (const auto& c : chunk_hits) EXPECT_EQ(c.load(), 1);  // one call per chunk
-}
-
-TEST(ThreadPool, ParallelChunksRunsInlineWithoutPool) {
-  std::vector<int> hits(40, 0);
-  const std::size_t chunks = ThreadPool::parallel_chunks(
-      nullptr, hits.size(), 8,
-      [&hits](std::size_t chunk, std::size_t lo, std::size_t hi) {
-        EXPECT_EQ(chunk, 0u);
-        for (std::size_t i = lo; i < hi; ++i) ++hits[i];
-      });
-  EXPECT_EQ(chunks, 1u);  // no pool: one inline chunk, the serial fallback
-  EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 40);
-}
-
-TEST(ThreadPool, NumChunksBounds) {
-  ThreadPool pool(4);
-  EXPECT_EQ(ThreadPool::num_chunks(&pool, 0, 8), 0u);      // nothing to do
-  EXPECT_EQ(ThreadPool::num_chunks(nullptr, 100, 8), 1u);  // serial fallback
-  EXPECT_LE(ThreadPool::num_chunks(&pool, 100, 8), 8u);    // task cap
-  EXPECT_LE(ThreadPool::num_chunks(&pool, 3, 8), 3u);      // item cap
-  EXPECT_GE(ThreadPool::num_chunks(&pool, 100, 0), 1u);    // degenerate cap
-}
-
 TEST(ThreadPool, HardwareThreadsIsPositive) {
   EXPECT_GE(ThreadPool::hardware_threads(), 1u);
   ThreadPool pool;  // default: hardware concurrency

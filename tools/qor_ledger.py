@@ -6,7 +6,7 @@ Rows come from two sources:
   * flight records (spool/flights/*.flight.json, see src/svc/flight.hpp):
     the per-job QoR figures — cells, area, wirelength, violations, critical
     path, rows. Keyed by the job's name, so CI submits with stable --name.
-  * BENCH JSON files (BENCH_serve.json, BENCH_scaling.json, ...): every
+  * BENCH JSON files (BENCH_serve.json, BENCH_route.json, ...): every
     numeric leaf, flattened to dotted paths. Keyed by file basename.
 
 Each ledger row:  {"source": ..., "kind": "flight"|"bench", "metrics": {...}}
