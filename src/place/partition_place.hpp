@@ -8,6 +8,11 @@
 /// of mapped netlists before routing. Quality target is a realistic
 /// clustered placement, not a production placer: connected logic ends up in
 /// nearby bins, so wirelength in the mapper's cost function is meaningful.
+///
+/// Regions are [begin, end) ranges of one object-order array that each
+/// bisection partitions stably in place. A bisection builds its local nets
+/// and local incidence as CSR arrays in arenas reused across bisections, so
+/// it allocates nothing once they have grown (DESIGN.md §16).
 
 #include <cstdint>
 

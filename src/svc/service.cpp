@@ -428,11 +428,15 @@ void FlowService::dispatcher_loop() {
             retry_queue_.empty())
           return;
         // Sleep until woken — or until the earliest pending retry is due,
-        // so a backoff never needs an external nudge to resume.
-        if (!paused_ && !retry_queue_.empty())
-          work_available_.wait_until(lock, retry_queue_.begin()->first);
-        else
+        // so a backoff never needs an external nudge to resume. The due time
+        // is copied: wait_until reads it after waking, when another
+        // dispatcher may already have erased that retry_queue_ node.
+        if (!paused_ && !retry_queue_.empty()) {
+          const auto due = retry_queue_.begin()->first;
+          work_available_.wait_until(lock, due);
+        } else {
           work_available_.wait(lock);
+        }
       }
       const auto top = *queue_.begin();
       queue_.erase(queue_.begin());

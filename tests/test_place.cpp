@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
 #include "flow/baselines.hpp"
+#include "flow/flow.hpp"
+#include "library/corelib.hpp"
+#include "map/mapper.hpp"
 #include "place/partition_place.hpp"
+#include "util/fnv.hpp"
 #include "util/rng.hpp"
 #include "workloads/plagen.hpp"
+#include "workloads/presets.hpp"
 
 namespace cals {
 namespace {
@@ -161,6 +166,111 @@ TEST(Placement, HpwlOfKnownConfiguration) {
   Placement placement;
   placement.pos = {{0, 0}, {3, 4}, {1, 2}};
   EXPECT_DOUBLE_EQ(placement.hpwl(graph), 3.0 + 4.0);
+}
+
+// ---- golden positions -------------------------------------------------------
+// FNV-1a over the raw bytes of Placement::pos. Any change to the bisection
+// order, the FM move sequence or the rng draws changes these digests.
+
+std::uint64_t position_digest(const Placement& placement) {
+  return fnv1a64_bytes(placement.pos.data(), placement.pos.size() * sizeof(Point));
+}
+
+struct SplaPlaceGolden {
+  BaseNetwork net;
+  Floorplan fp;
+
+  static const Library& library() {
+    static const Library lib = lib::make_corelib();
+    return lib;
+  }
+  static const SplaPlaceGolden& get() {
+    static const SplaPlaceGolden golden = [] {
+      BaseNetwork net = synthesize_base(workloads::spla_like(0.1));
+      net.build_fanouts();
+      // The floorplan of RouteGolden (test_route_equivalence.cpp).
+      const Floorplan fp =
+          Floorplan::for_cell_area(net.num_base_gates() * 5.3, 0.58, library().tech());
+      return SplaPlaceGolden{std::move(net), fp};
+    }();
+    return golden;
+  }
+};
+
+TEST(GlobalPlaceGolden, SplaLikeBaseNetwork) {
+  const SplaPlaceGolden& golden = SplaPlaceGolden::get();
+  const BasePlaceBinding binding = lower_base_network(golden.net, golden.fp);
+  const Placement placement = global_place(binding.graph, golden.fp);
+  EXPECT_EQ(position_digest(placement), 0x884605478bc094e9ull);
+}
+
+TEST(GlobalPlaceGolden, SplaLikeMinAreaMappedNetlist) {
+  const SplaPlaceGolden& golden = SplaPlaceGolden::get();
+  const DesignContext context(golden.net, &SplaPlaceGolden::library(), golden.fp);
+  const MapResult mapped =
+      map_network(golden.net, SplaPlaceGolden::library(), context.node_positions(), {});
+  const MappedPlaceBinding binding = mapped.netlist.lower(golden.fp);
+  PlaceOptions options;  // as replace_mapped=true places it, with non-default knobs
+  options.fm_passes = 5;
+  options.balance_tolerance = 0.05;
+  options.min_bin_objects = 8;
+  options.seed = 7;
+  const Placement placement = global_place(binding.graph, golden.fp, options);
+  EXPECT_EQ(position_digest(placement), 0x05b22bf9f48ba6a4ull);
+}
+
+/// Random hypergraph: pads fixed on the die boundary, some zero-width
+/// movable objects, mostly small nets with a few of up to 40 pins, and some
+/// nets that list one object twice.
+PlaceGraph random_graph(std::uint64_t seed, const Rect& die) {
+  Rng rng(seed);
+  PlaceGraph graph;
+  for (std::uint32_t i = 0; i < 16; ++i) {
+    const double t = (i + 0.5) / 16.0;
+    graph.add_fixed(i % 2 == 0 ? Point{die.lo.x, die.lo.y + t * die.height()}
+                               : Point{die.lo.x + t * die.width(), die.hi.y});
+  }
+  const auto movable = static_cast<std::uint32_t>(400 + rng.below(400));
+  for (std::uint32_t i = 0; i < movable; ++i)
+    graph.add_object(rng.below(10) == 0 ? 0.0 : 0.8 * static_cast<double>(1 + rng.below(5)));
+  const std::uint32_t num_nets = movable + movable / 4;
+  for (std::uint32_t n = 0; n < num_nets; ++n) {
+    const auto size = static_cast<std::uint32_t>(rng.below(12) == 0 ? 2 + rng.below(39)
+                                                                    : 2 + rng.below(3));
+    HyperNet net;
+    for (std::uint32_t k = 0; k < size; ++k)
+      net.pins.push_back(static_cast<std::uint32_t>(rng.below(graph.num_objects)));
+    if (rng.below(6) == 0) net.pins.push_back(net.pins[rng.below(size)]);
+    graph.nets.push_back(std::move(net));
+  }
+  return graph;
+}
+
+TEST(GlobalPlaceGolden, RandomGraphsWithRepeatedPins) {
+  struct Case {
+    std::uint64_t seed;
+    std::uint32_t fm_passes;
+    std::uint32_t min_bin_objects;
+    double balance_tolerance;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {11, 3, 3, 0.1, 0x8c79de3455604dc7ull},
+      {12, 1, 1, 0.02, 0x9a04dd69b953a211ull},
+      {13, 5, 9, 0.14, 0x656471221b006b5cull},
+      {14, 2, 5, 0.07, 0x2882286492bcc69cull},
+  };
+  const Floorplan fp = Floorplan::square_with_rows(24, TechParams{});
+  for (const Case& c : cases) {
+    const PlaceGraph graph = random_graph(c.seed, fp.die());
+    PlaceOptions options;
+    options.fm_passes = c.fm_passes;
+    options.min_bin_objects = c.min_bin_objects;
+    options.balance_tolerance = c.balance_tolerance;
+    options.seed = c.seed;
+    EXPECT_EQ(position_digest(global_place(graph, fp, options)), c.digest)
+        << "seed " << c.seed;
+  }
 }
 
 }  // namespace
