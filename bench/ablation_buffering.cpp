@@ -6,22 +6,11 @@
 
 #include "common.hpp"
 #include "map/buffering.hpp"
-#include "timing/sta.hpp"
 
 using namespace cals;
 using namespace cals::bench;
 
 namespace {
-
-struct Row {
-  std::string label;
-  std::uint32_t cells = 0;
-  double area = 0.0;
-  std::uint32_t max_fanout = 0;
-  std::uint64_t violations = 0;
-  double wirelength = 0.0;
-  double critical = 0.0;
-};
 
 std::uint32_t max_fanout_of(const MappedNetlist& netlist) {
   std::vector<std::uint32_t> fanout(netlist.num_pis() + netlist.num_instances(), 0);
@@ -37,22 +26,16 @@ std::uint32_t max_fanout_of(const MappedNetlist& netlist) {
   return best;
 }
 
-Row evaluate(const std::string& label, const MappedNetlist& netlist,
-             const Floorplan& fp, const FlowOptions& options) {
-  Row row;
-  row.label = label;
-  row.cells = netlist.num_instances();
-  row.area = netlist.total_cell_area();
-  row.max_fanout = max_fanout_of(netlist);
-  MappedPlaceBinding binding = netlist.lower(fp);
-  Placement placement = netlist.seed_placement(binding);
-  legalize(binding.graph, fp, placement);
-  RoutingGrid grid(fp, options.rgrid);
-  const RouteResult routed = route(grid, binding.graph, placement, options.route);
-  row.violations = routed.total_overflow;
-  row.wirelength = routed.wirelength_um;
-  row.critical = run_sta(netlist, binding, routed).critical.arrival_ns;
-  return row;
+/// One table row, read off an implemented run.
+std::vector<std::string> table_row(const std::string& label, const FlowRun& run) {
+  const MappedNetlist& netlist = run.map.netlist;
+  return {label,
+          fmt_i(netlist.num_instances()),
+          fmt_f(netlist.total_cell_area(), 0),
+          fmt_i(max_fanout_of(netlist)),
+          fmt_i(static_cast<long long>(run.route.total_overflow)),
+          fmt_f(run.route.wirelength_um, 0),
+          fmt_f(run.sta.critical.arrival_ns, 2)};
 }
 
 }  // namespace
@@ -74,24 +57,15 @@ int main() {
 
   Table table({"Netlist", "Cells", "Cell Area (um2)", "Max fanout", "Violations",
                "Routed WL (um)", "Critical (ns)"});
-  table.add_row([&] {
-    const Row row = evaluate("unbuffered (paper flow)", run.map.netlist, fp, options);
-    return std::vector<std::string>{row.label, fmt_i(row.cells), fmt_f(row.area, 0),
-                                    fmt_i(row.max_fanout),
-                                    fmt_i(static_cast<long long>(row.violations)),
-                                    fmt_f(row.wirelength, 0), fmt_f(row.critical, 2)};
-  }());
+  table.add_row(table_row("unbuffered (paper flow)", run));
   for (std::uint32_t limit : {64u, 24u, 8u}) {
     BufferingOptions buffer_options;
     buffer_options.max_fanout = limit;
-    BufferingStats stats;
-    const MappedNetlist buffered =
-        buffer_high_fanout(run.map.netlist, buffer_options, &stats);
-    const Row row = evaluate(strprintf("buffered (max fanout %u)", limit), buffered, fp,
-                             options);
-    table.add_row({row.label, fmt_i(row.cells), fmt_f(row.area, 0),
-                   fmt_i(row.max_fanout), fmt_i(static_cast<long long>(row.violations)),
-                   fmt_f(row.wirelength, 0), fmt_f(row.critical, 2)});
+    MapResult buffered{buffer_high_fanout(run.map.netlist, buffer_options), run.map.stats};
+    buffered.stats.num_cells = buffered.netlist.num_instances();
+    buffered.stats.cell_area = buffered.netlist.total_cell_area();
+    table.add_row(table_row(strprintf("buffered (max fanout %u)", limit),
+                            context.implement(std::move(buffered), options).run));
   }
   print_table(table);
   std::printf("Buffer trees cap electrical fanout (critical path improves once the\n"

@@ -10,10 +10,6 @@
 using namespace cals;
 using namespace cals::bench;
 
-namespace {
-
-}  // namespace
-
 int main(int argc, char** argv) {
   ObsSession obs_session(argc, argv);  // --trace out.json / --metrics out.txt
   print_header("Figure 3 — modified ASIC design flow (K iteration loop)");
@@ -45,7 +41,7 @@ int main(int argc, char** argv) {
         {fmt_i(static_cast<long long>(i + 1)), strprintf("%g", run.metrics.k_factor),
          fmt_f(run.metrics.cell_area_um2, 0), fmt_f(run.metrics.utilization_pct, 2),
          fmt_i(static_cast<long long>(run.metrics.routing_violations)),
-         fmt_f(run.congestion.max_utilization, 2), fmt_phase_seconds(run.metrics),
+         fmt_f(run.congestion.stats().max_utilization, 2), fmt_phase_seconds(run.metrics),
          run.metrics.routing_violations == 0 ? "yes -> place&route" : "no -> raise K"});
   }
   print_table(iterations);
@@ -64,23 +60,12 @@ int main(int argc, char** argv) {
   }
 
   // Congestion-map snapshots (the artifact the flow's decision looks at).
-  {
-    FlowOptions options = table_flow_options(0.0);
-    const FlowRun first = context.run(options);
-    RoutingGrid grid(fp, options.rgrid);
-    route(grid, first.binding.graph, first.placement, options.route);
-    std::printf("\ncongestion map at K = 0 ('X' = over capacity):\n%s\n",
-                CongestionMap(grid).ascii_art().c_str());
-    if (result.converged) {
-      FlowOptions ok = table_flow_options(result.runs[result.chosen].metrics.k_factor);
-      const FlowRun chosen = context.run(ok);
-      RoutingGrid grid2(fp, ok.rgrid);
-      route(grid2, chosen.binding.graph, chosen.placement, ok.route);
-      std::printf("congestion map at the accepted K = %g:\n%s\n",
-                  result.runs[result.chosen].metrics.k_factor,
-                  CongestionMap(grid2).ascii_art().c_str());
-    }
-  }
+  std::printf("\ncongestion map at K = 0 ('X' = over capacity):\n%s\n",
+              result.runs.front().congestion.ascii_art().c_str());
+  if (result.converged)
+    std::printf("congestion map at the accepted K = %g:\n%s\n",
+                result.runs[result.chosen].metrics.k_factor,
+                result.runs[result.chosen].congestion.ascii_art().c_str());
   std::printf("total: %.1fs\n", total.seconds());
   return 0;
 }

@@ -14,34 +14,11 @@
 #include "library/corelib.hpp"
 #include "map/buffering.hpp"
 #include "map/netlist_io.hpp"
-#include "route/congestion.hpp"
-#include "timing/sta.hpp"
 #include "workloads/presets.hpp"
 
 using namespace cals;
 
 namespace {
-
-struct Evaluated {
-  std::uint64_t violations = 0;
-  double wirelength = 0.0;
-  double critical = 0.0;
-  MappedPlaceBinding binding;
-  Placement placement;
-};
-
-Evaluated evaluate(const MappedNetlist& netlist, const Floorplan& fp) {
-  Evaluated e;
-  e.binding = netlist.lower(fp);
-  e.placement = netlist.seed_placement(e.binding);
-  legalize(e.binding.graph, fp, e.placement);
-  RoutingGrid grid(fp, {});
-  const RouteResult routed = route(grid, e.binding.graph, e.placement);
-  e.violations = routed.total_overflow;
-  e.wirelength = routed.wirelength_um;
-  e.critical = run_sta(netlist, e.binding, routed).critical.arrival_ns;
-  return e;
-}
 
 void save(const std::string& path, const std::string& text) {
   std::ofstream out(path);
@@ -66,32 +43,33 @@ int main(int argc, char** argv) {
   options.replace_mapped = false;
   const FlowRun run = context.run(options);
 
+  // Buffer the mapped netlist, then place, route and time it afresh on the
+  // same floorplan. The metrics read cell count and area from the stats.
   BufferingOptions buffer_options;
   buffer_options.max_fanout = max_fanout;
   BufferingStats stats;
-  const MappedNetlist buffered =
-      buffer_high_fanout(run.map.netlist, buffer_options, &stats);
+  MapResult mapped{buffer_high_fanout(run.map.netlist, buffer_options, &stats),
+                   run.map.stats};
+  mapped.stats.num_cells = mapped.netlist.num_instances();
+  mapped.stats.cell_area = mapped.netlist.total_cell_area();
+  const FlowRun after = context.implement(std::move(mapped), options).run;
+  const MappedNetlist& buffered = after.map.netlist;
 
-  const Evaluated before = evaluate(run.map.netlist, fp);
-  const Evaluated after = evaluate(buffered, fp);
   std::printf("max fanout %u -> %u with %u buffers\n", stats.max_fanout_before,
               stats.max_fanout_after, stats.buffers_inserted);
-  std::printf("before: %5llu violations, wl %8.0f um, critical %6.3f ns\n",
-              static_cast<unsigned long long>(before.violations), before.wirelength,
-              before.critical);
-  std::printf("after:  %5llu violations, wl %8.0f um, critical %6.3f ns\n",
-              static_cast<unsigned long long>(after.violations), after.wirelength,
-              after.critical);
+  const auto report = [](const char* label, const FlowRun& r) {
+    std::printf("%s %5llu violations, wl %8.0f um, critical %6.3f ns\n", label,
+                static_cast<unsigned long long>(r.route.total_overflow),
+                r.route.wirelength_um, r.sta.critical.arrival_ns);
+  };
+  report("before:", run);
+  report("after: ", after);
 
   std::printf("exports:\n");
   save(prefix + ".v", write_verilog_string(buffered, "block"));
   save(prefix + ".blif", write_mapped_blif_string(buffered, "block"));
   save(prefix + ".place", write_placement_string(buffered));
-  {
-    RoutingGrid grid(fp, {});
-    route(grid, after.binding.graph, after.placement);
-    save(prefix + ".pgm", CongestionMap(grid).to_pgm());
-  }
+  save(prefix + ".pgm", after.congestion.to_pgm());
 
   // Round-trip sanity: the exported Verilog reads back equivalent.
   const MappedNetlist again =

@@ -47,11 +47,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     const FlowRun& run = checked.run;
-
-    // Recreate the grid to render the congestion map for this iteration.
-    RoutingGrid grid(fp, options.rgrid);
-    route(grid, run.binding.graph, run.placement, options.route);
-    const CongestionMap map(grid);
+    const CongestionMap& map = run.congestion;
 
     std::printf("--- K = %g ---------------------------------------------\n", k);
     std::printf("cells %u  area %.0f um^2 (util %.1f%%)  violations %llu  "

@@ -74,6 +74,101 @@ std::uint32_t resolve_num_threads(std::uint32_t num_threads) {
   return recommended_threads(std::max(1u, flows_in_flight()));
 }
 
+/// Fills the metric fields derivable from the phases finished so far, so
+/// budget-stopped partial runs still report consistent numbers. A finished
+/// evaluation calls it once at the end — identical assignments to the seed
+/// flow. Cell count and area come from the mapper's stats.
+void fill_metrics(FlowRun& run, const FlowOptions& options, const Floorplan& floorplan,
+                  std::uint32_t phases_done) {
+  FlowMetrics& m = run.metrics;
+  m.k_factor = options.K;
+  m.num_rows = floorplan.num_rows();
+  m.chip_area_um2 = floorplan.die_area();
+  if (phases_done >= 1) {
+    m.num_cells = run.map.stats.num_cells;
+    m.cell_area_um2 = run.map.stats.cell_area;
+    m.utilization_pct = 100.0 * m.cell_area_um2 / floorplan.core_area();
+  }
+  if (phases_done >= 2) m.hpwl_um = run.placement.hpwl(run.binding.graph);
+  if (phases_done >= 3) {
+    m.routing_violations = run.route.total_overflow;
+    m.routable = run.route.routable();
+    m.wirelength_um = run.route.wirelength_um;
+    m.rcm_passes = run.repair.passes_run;
+    m.rcm_cells_moved = run.repair.cells_moved;
+    m.rcm_overflow_removed = run.repair.overflow_removed();
+  }
+  if (phases_done >= 4) {
+    m.critical_path_ns = run.sta.critical.arrival_ns;
+    m.crit_start = run.sta.critical.start;
+    m.crit_end = run.sta.critical.end;
+  }
+}
+
+/// Budget guardrail, evaluated at phase boundaries (phases are never
+/// preempted): records progress and, when the finished phase overran
+/// options.phase_time_budget_s, stops the evaluation with kBudgetExceeded.
+/// A null `checked` (plain run()) never stops.
+bool over_budget(FlowRun& run, const FlowOptions& options, const Floorplan& floorplan,
+                 FlowResult* checked, FlowPhase phase, double seconds) {
+  if (checked == nullptr) return false;
+  checked->phases_completed = static_cast<std::uint32_t>(phase) + 1;
+  if (options.phase_time_budget_s > 0.0 && seconds > options.phase_time_budget_s) {
+    checked->status = Status::budget_exceeded(
+        strprintf("flow: %s phase took %.3fs (budget %.3fs/phase)",
+                  flow_phase_name(phase), seconds, options.phase_time_budget_s));
+    CALS_OBS_COUNT("flow.budget_stops", 1);
+    fill_metrics(run, options, floorplan, checked->phases_completed);
+    return true;
+  }
+  return false;
+}
+
+/// Phase-boundary cancellation checkpoint. Only a non-null token pays
+/// anything (one relaxed load); the `flow.cancel` fault point lets
+/// fault_sweep.sh exercise the unwind path — its kFail action simulates an
+/// explicit cancel, its default throw action a mid-phase crash.
+void checkpoint(const FlowOptions& options) {
+  if (options.cancel == nullptr) return;
+  if (CALS_FAULT_POINT("flow.cancel")) throw CancelledError(CancelCause::kCancelled);
+  cancel_point(options.cancel);
+}
+
+/// Runs `evaluate(result)` under options.on_error. kBestEffort turns an
+/// exception into result.status (typed for cancellation) and keeps
+/// phases_completed as the progress made; kPropagate lets it escape.
+template <typename Evaluate>
+FlowResult guarded(const FlowOptions& options, Evaluate&& evaluate) {
+  FlowResult result;
+  if (options.on_error != ErrorPolicy::kBestEffort) {
+    evaluate(result);
+    return result;
+  }
+  try {
+    evaluate(result);
+  } catch (const CancelledError& e) {
+    // Cooperative stop, not a failure of the flow itself: surface the
+    // typed status (kCancelled / kDeadlineExceeded) with the progress
+    // made, so the service can distinguish "told to stop" from "broke".
+    const std::uint32_t in_phase = std::min(result.phases_completed, kNumFlowPhases - 1);
+    const std::string message = strprintf("flow: %s in %s phase", e.what(),
+                                          flow_phase_name(static_cast<FlowPhase>(in_phase)));
+    result.status = e.cause() == CancelCause::kDeadlineExceeded
+                        ? Status::deadline_exceeded(message)
+                        : Status::cancelled(message);
+    CALS_OBS_COUNT("flow.cancelled", 1);
+  } catch (const std::exception& e) {
+    // Artifacts of the failing phase are discarded (they may be half
+    // built); phases_completed still reports the progress made.
+    const std::uint32_t in_phase = std::min(result.phases_completed, kNumFlowPhases - 1);
+    result.status = Status::internal(
+        strprintf("flow: exception in %s phase: %s",
+                  flow_phase_name(static_cast<FlowPhase>(in_phase)), e.what()));
+    CALS_OBS_COUNT("flow.best_effort_failures", 1);
+  }
+  return result;
+}
+
 }  // namespace
 
 std::uint32_t flows_in_flight() {
@@ -164,35 +259,18 @@ FlowRun DesignContext::run(const FlowOptions& options) const {
 }
 
 FlowResult DesignContext::run_checked(const FlowOptions& options) const {
-  FlowResult result;
-  if (options.on_error == ErrorPolicy::kBestEffort) {
-    try {
-      result.run = run_impl(options, &result);
-    } catch (const CancelledError& e) {
-      // Cooperative stop, not a failure of the flow itself: surface the
-      // typed status (kCancelled / kDeadlineExceeded) with the progress
-      // made, so the service can distinguish "told to stop" from "broke".
-      const std::uint32_t in_phase = std::min(result.phases_completed, kNumFlowPhases - 1);
-      const std::string message =
-          strprintf("flow: %s in %s phase", e.what(),
-                    flow_phase_name(static_cast<FlowPhase>(in_phase)));
-      result.status = e.cause() == CancelCause::kDeadlineExceeded
-                          ? Status::deadline_exceeded(message)
-                          : Status::cancelled(message);
-      CALS_OBS_COUNT("flow.cancelled", 1);
-    } catch (const std::exception& e) {
-      // Artifacts of the failing phase are discarded (they may be half
-      // built); phases_completed still reports the progress made.
-      const std::uint32_t in_phase = std::min(result.phases_completed, kNumFlowPhases - 1);
-      result.status = Status::internal(
-          strprintf("flow: exception in %s phase: %s",
-                    flow_phase_name(static_cast<FlowPhase>(in_phase)), e.what()));
-      CALS_OBS_COUNT("flow.best_effort_failures", 1);
-    }
-  } else {
-    result.run = run_impl(options, &result);
-  }
-  return result;
+  return guarded(options,
+                 [&](FlowResult& result) { result.run = run_impl(options, &result); });
+}
+
+FlowResult DesignContext::implement(MapResult mapped, const FlowOptions& options) const {
+  return guarded(options, [&](FlowResult& result) {
+    FlowRun run;
+    run.map = std::move(mapped);
+    result.phases_completed = 1;  // the netlist arrives mapped
+    implement_phases(run, options, &result);
+    result.run = std::move(run);
+  });
 }
 
 FlowRun DesignContext::run_impl(const FlowOptions& options, FlowResult* checked) const {
@@ -202,66 +280,9 @@ FlowRun DesignContext::run_impl(const FlowOptions& options, FlowResult* checked)
   FlowRun run;
   Timer timer;
 
-  // Fills the metric fields derivable from the phases finished so far, so
-  // budget-stopped partial runs still report consistent numbers. The full
-  // path calls it once at the end — identical assignments to the seed flow.
-  const auto fill_metrics = [&](std::uint32_t phases_done) {
-    FlowMetrics& m = run.metrics;
-    m.k_factor = options.K;
-    m.num_rows = floorplan_.num_rows();
-    m.chip_area_um2 = floorplan_.die_area();
-    if (phases_done >= 1) {
-      m.num_cells = run.map.stats.num_cells;
-      m.cell_area_um2 = run.map.stats.cell_area;
-      m.utilization_pct = 100.0 * m.cell_area_um2 / floorplan_.core_area();
-    }
-    if (phases_done >= 2) m.hpwl_um = run.placement.hpwl(run.binding.graph);
-    if (phases_done >= 3) {
-      m.routing_violations = run.route.total_overflow;
-      m.routable = run.route.routable();
-      m.wirelength_um = run.route.wirelength_um;
-      m.rcm_passes = run.repair.passes_run;
-      m.rcm_cells_moved = run.repair.cells_moved;
-      m.rcm_overflow_removed = run.repair.overflow_removed();
-    }
-    if (phases_done >= 4) {
-      m.critical_path_ns = run.sta.critical.arrival_ns;
-      m.crit_start = run.sta.critical.start;
-      m.crit_end = run.sta.critical.end;
-    }
-  };
-  // Budget guardrail, evaluated at phase boundaries (phases are never
-  // preempted): records progress and, when the finished phase overran
-  // options.phase_time_budget_s, stops the evaluation with kBudgetExceeded.
-  const auto over_budget = [&](FlowPhase phase, double seconds) -> bool {
-    if (checked == nullptr) return false;
-    checked->phases_completed = static_cast<std::uint32_t>(phase) + 1;
-    if (options.phase_time_budget_s > 0.0 && seconds > options.phase_time_budget_s) {
-      checked->status = Status::budget_exceeded(
-          strprintf("flow: %s phase took %.3fs (budget %.3fs/phase)",
-                    flow_phase_name(phase), seconds, options.phase_time_budget_s));
-      CALS_OBS_COUNT("flow.budget_stops", 1);
-      fill_metrics(checked->phases_completed);
-      return true;
-    }
-    return false;
-  };
-
-  // Phase-boundary cancellation checkpoint. Only a non-null token pays
-  // anything (one relaxed load); the `flow.cancel` fault point lets
-  // fault_sweep.sh exercise the unwind path — its kFail action simulates an
-  // explicit cancel, its default throw action a mid-phase crash.
-  const auto checkpoint = [&options] {
-    if (options.cancel == nullptr) return;
-    if (CALS_FAULT_POINT("flow.cancel"))
-      throw CancelledError(CancelCause::kCancelled);
-    cancel_point(options.cancel);
-  };
-
-  // The run's worker pool for the mapper (match enumeration and the cover
-  // wavefront); placement and routing run serially. The share for
-  // num_threads=0 was claimed by in_flight under the ledger lock; nullptr
-  // means pure serial.
+  // The run's worker pool for the mapper's match enumeration; covering,
+  // placement and routing run serially. The share for num_threads=0 was
+  // claimed by in_flight under the ledger lock; nullptr means pure serial.
   const std::uint32_t num_workers = in_flight.resolved(options.num_threads);
   ThreadPool* pool = num_workers <= 1 ? nullptr : this->pool(num_workers);
   run.metrics.threads_used = pool != nullptr ? pool->num_workers() : 1;
@@ -270,7 +291,7 @@ FlowRun DesignContext::run_impl(const FlowOptions& options, FlowResult* checked)
   {
     CALS_TRACE_SCOPE("flow.map");
     CALS_FAULT_POINT("flow.map");
-    checkpoint();
+    checkpoint(options);
     CoverOptions cover_options;
     cover_options.K = options.K;
     cover_options.objective = options.objective;
@@ -279,18 +300,25 @@ FlowRun DesignContext::run_impl(const FlowOptions& options, FlowResult* checked)
     cover_options.cancel = options.cancel;
     const std::shared_ptr<const MatchDatabase> db =
         match_database(options.partition, options.metric, pool);
-    run.map = map_network_cached(net_, *library_, node_positions_, *db, cover_options, pool);
+    run.map = map_network_cached(net_, *library_, node_positions_, *db, cover_options);
   }
   run.metrics.map_seconds = timer.seconds();
-  if (over_budget(FlowPhase::kMap, run.metrics.map_seconds)) return run;
+  if (!over_budget(run, options, floorplan_, checked, FlowPhase::kMap,
+                   run.metrics.map_seconds))
+    implement_phases(run, options, checked);
+  return run;
+}
+
+void DesignContext::implement_phases(FlowRun& run, const FlowOptions& options,
+                                     FlowResult* checked) const {
+  Timer timer;
+  Timer phase_timer;
 
   // ---- placement -----------------------------------------------------------
-  timer.reset();
-  Timer phase_timer;
   {
     CALS_TRACE_SCOPE("flow.place");
     CALS_FAULT_POINT("flow.place");
-    checkpoint();
+    checkpoint(options);
     run.binding = run.map.netlist.lower(floorplan_);
     if (options.replace_mapped) {
       PlaceOptions place_options = options.place;
@@ -309,14 +337,16 @@ FlowRun DesignContext::run_impl(const FlowOptions& options, FlowResult* checked)
     }
   }
   run.metrics.place_seconds = phase_timer.seconds();
-  if (over_budget(FlowPhase::kPlace, run.metrics.place_seconds)) return run;
+  if (over_budget(run, options, floorplan_, checked, FlowPhase::kPlace,
+                  run.metrics.place_seconds))
+    return;
 
   // ---- routing + congestion -------------------------------------------------
   phase_timer.reset();
   {
     CALS_TRACE_SCOPE("flow.route");
     CALS_FAULT_POINT("flow.route");
-    checkpoint();
+    checkpoint(options);
     RoutingGrid grid(floorplan_, options.rgrid);
     RouteOptions route_options = options.route;
     if (options.max_route_iters != 0)
@@ -330,11 +360,7 @@ FlowRun DesignContext::run_impl(const FlowOptions& options, FlowResult* checked)
       // repair loop can invalidate moved nets and resume the negotiation.
       Router router(grid, run.binding.graph, run.placement, route_options);
       router.run();
-      {
-        const CongestionMap pre(grid);
-        run.congestion_pre = pre.stats();
-        run.congestion_pre_csv = pre.to_csv();
-      }
+      run.congestion_pre = CongestionMap(grid);
       const std::vector<Point> pre_repair_positions = run.placement.pos;
       bool degraded = false;
       try {
@@ -368,29 +394,30 @@ FlowRun DesignContext::run_impl(const FlowOptions& options, FlowResult* checked)
       run.route = degraded ? route(grid, run.binding.graph, run.placement, route_options)
                            : router.take();
     }
-    const CongestionMap congestion_map(grid);
-    run.congestion = congestion_map.stats();
-    if (options.repair_passes != 0) run.congestion_post_csv = congestion_map.to_csv();
+    run.congestion = CongestionMap(grid);
   }
   run.metrics.route_seconds = phase_timer.seconds();
-  if (over_budget(FlowPhase::kRoute, run.metrics.route_seconds)) return run;
+  if (over_budget(run, options, floorplan_, checked, FlowPhase::kRoute,
+                  run.metrics.route_seconds))
+    return;
 
   // ---- timing -----------------------------------------------------------------
   phase_timer.reset();
   {
     CALS_TRACE_SCOPE("flow.sta");
     CALS_FAULT_POINT("flow.sta");
-    checkpoint();
+    checkpoint(options);
     run.sta = run_sta(run.map.netlist, run.binding, run.route, options.cancel);
   }
   run.metrics.sta_seconds = phase_timer.seconds();
   run.metrics.pd_seconds = timer.seconds();
   debug_check_phase_accounting(run.metrics);
-  if (over_budget(FlowPhase::kSta, run.metrics.sta_seconds)) return run;
+  if (over_budget(run, options, floorplan_, checked, FlowPhase::kSta,
+                  run.metrics.sta_seconds))
+    return;
 
   // ---- metrics -----------------------------------------------------------------
-  fill_metrics(kNumFlowPhases);
-  return run;
+  fill_metrics(run, options, floorplan_, kNumFlowPhases);
 }
 
 FlowIterationResult congestion_aware_flow(const DesignContext& context,

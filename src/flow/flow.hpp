@@ -16,11 +16,10 @@
 /// K sweeps reuse and parallelize where work is independent (DESIGN.md §6):
 ///  * the K-independent matching front end (subject forest + per-vertex match
 ///    candidates) is memoized per {partition, metric} inside DesignContext;
-///  * match enumeration and the covering DP split across a shared
-///    cals::ThreadPool;
+///  * match enumeration splits across a shared cals::ThreadPool;
 ///  * congestion_aware_flow and find_min_routable_rows evaluate windows of K
 ///    and row probes concurrently.
-/// Placement and routing inside one evaluation are serial. Every
+/// Covering, placement and routing inside one evaluation are serial. Every
 /// FlowOptions::num_threads value produces the same covers, areas,
 /// wirelengths and critical paths as num_threads=1.
 
@@ -68,10 +67,10 @@ struct FlowOptions {
   /// Detailed-placement refinement passes after legalization (0 = off, the
   /// paper's configuration; see place/refine.hpp).
   std::uint32_t refine_passes = 0;
-  /// Worker threads for match building, tree covering, and concurrent K /
-  /// row evaluations. 0 = an equal share of the machine given the evaluations
-  /// currently in flight (recommended_threads(flows_in_flight()): the whole
-  /// machine for a lone run, hardware/J when J run() calls overlap — J
+  /// Worker threads for match building and concurrent K / row evaluations.
+  /// 0 = an equal share of the machine given the evaluations currently in
+  /// flight (recommended_threads(flows_in_flight()): the whole machine for a
+  /// lone run, hardware/J when J run() calls overlap — J
   /// concurrent default-option jobs no longer oversubscribe to J x cores);
   /// 1 = no pool is created. Results are bit-identical for every value.
   std::uint32_t num_threads = 0;
@@ -99,11 +98,11 @@ struct FlowOptions {
   /// always propagates.
   ErrorPolicy on_error = ErrorPolicy::kPropagate;
   /// Cooperative cancellation + deadline token (util/cancel.hpp), polled at
-  /// phase boundaries and inside each phase's iteration loop (mapper DP
-  /// waves, placer bisections, router rip-up iterations, STA
-  /// propagation). A fired token unwinds as CancelledError; run_checked
-  /// under kBestEffort maps it to the typed kCancelled /
-  /// kDeadlineExceeded status with the partial artifacts built so far.
+  /// phase boundaries and inside each phase's iteration loop (mapper DP,
+  /// placer bisections, router rip-up iterations, STA propagation). A fired
+  /// token unwinds as CancelledError; run_checked under kBestEffort maps it
+  /// to the typed kCancelled / kDeadlineExceeded status with the partial
+  /// artifacts built so far.
   /// Not owned; null (the default) is checked with a single branch — the
   /// no-token path is bit-identical to the seed flow, and the field is
   /// excluded from content keys and wire formats.
@@ -114,26 +113,25 @@ struct FlowOptions {
 };
 
 /// One full evaluation at a given K: the mapped netlist and every physical
-/// design artifact derived from it.
+/// design artifact derived from it — everything a front end reports, so no
+/// front end routes again to draw a map.
 struct FlowRun {
   MapResult map;
   MappedPlaceBinding binding;
   Placement placement;
   LegalizeResult legalization;
   RouteResult route;
-  CongestionStats congestion;
+  /// The congestion map of the shipped routing (post-repair when repair
+  /// ran): what Fig. 3's "Is congestion OK?" diamond inspects.
+  CongestionMap congestion;
   StaResult sta;
   FlowMetrics metrics;
   // Populated only when FlowOptions::repair_passes != 0 (default-empty
   // otherwise, so repair-off FlowRuns are unchanged): the repair telemetry
-  // and the congestion map before/after repair — `congestion` above is the
-  // final (post-repair) stats, `congestion_pre` the state run() would have
-  // shipped without repair, and the CSV snapshots feed cals_flow's
-  // --congestion-csv pre/post heatmap pair.
+  // and the map before repair, i.e. the map a repair-off run ships as
+  // `congestion` (cals_flow --congestion-csv writes the pre/post pair).
   rcm::RepairStats repair;
-  CongestionStats congestion_pre;
-  std::string congestion_pre_csv;
-  std::string congestion_post_csv;
+  CongestionMap congestion_pre;
 };
 
 /// Evaluations (DesignContext::run / run_checked) currently executing across
@@ -206,6 +204,15 @@ class DesignContext {
   /// run()'s.
   FlowResult run_checked(const FlowOptions& options) const;
 
+  /// The physical half of an evaluation on a netlist mapped elsewhere (a
+  /// buffered copy of a run's netlist, say): lower -> place or seed ->
+  /// legalize -> refine -> route -> repair -> STA against this context's
+  /// floorplan, with run_checked's guardrails. run_checked is map + this, so
+  /// implement(run.map, options) reproduces `run`. The metrics' cell count
+  /// and area come from `mapped.stats`: a caller that edits the netlist
+  /// updates them. The netlist's library must outlive the returned run.
+  FlowResult implement(MapResult mapped, const FlowOptions& options) const;
+
   /// The memoized K-independent matching front end for {partition, metric}:
   /// built on first use (optionally in parallel on `pool`), then shared by
   /// every subsequent run. Thread-safe.
@@ -227,6 +234,10 @@ class DesignContext {
   double base_hpwl_ = 0.0;
 
   FlowRun run_impl(const FlowOptions& options, FlowResult* checked) const;
+  /// Every phase after mapping, on run.map; shared by run_impl and
+  /// implement. A null `checked` (plain run()) enforces no budget.
+  void implement_phases(FlowRun& run, const FlowOptions& options,
+                        FlowResult* checked) const;
 
   mutable std::mutex mutex_;
   mutable std::unique_ptr<ThreadPool> pool_;
@@ -257,6 +268,10 @@ struct FlowIterationResult {
 FlowIterationResult congestion_aware_flow(const DesignContext& context,
                                           const std::vector<double>& k_schedule,
                                           FlowOptions options = {});
+
+/// The schedule a run with no fixed K walks (`cals_flow --k auto`, auto_k
+/// jobs): min-area first, then K raised until the map is acceptable.
+inline const std::vector<double> kAutoKSchedule = {0.0, 0.025, 0.05, 0.1, 0.25, 0.5};
 
 /// Refines the K found by the schedule: bisects between the last unroutable
 /// K (`k_low`) and a routable K (`k_high`) to find the cheapest-area netlist

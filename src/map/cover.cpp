@@ -9,8 +9,8 @@
 namespace cals {
 namespace {
 
-/// Batched DP counters: one atomic publish per serial loop / parallel chunk
-/// instead of two per vertex, so the instrumented hot path stays hot.
+/// Batched DP counters: one atomic publish per DP loop instead of two per
+/// vertex, so the instrumented hot path stays hot.
 struct CoverTally {
   std::uint64_t vertices = 0;
   std::uint64_t matches = 0;
@@ -315,96 +315,28 @@ MatchSet build_match_set(const BaseNetwork& net, const SubjectForest& forest,
   set.dup_first.push_back(static_cast<std::uint32_t>(set.dup_node.size()));
   set.cov_first.push_back(static_cast<std::uint32_t>(set.cov_node.size()));
 
-  // Wavefront schedule for the covering DP. Everything a vertex's DP reads
-  // (match pins, covered subtree vertices, duplication charges) is reached
-  // through chains of direct fanins, so level(v) = 1 + max(level(gate
-  // fanins)) makes each wave depend only on strictly earlier waves. Note
-  // that scheduling whole *trees* concurrently would be unsound: cross-tree
-  // leaf references can make two trees mutually dependent (each reading a
-  // memoized match position from the other), while the fanin relation is
-  // always acyclic.
-  std::vector<std::uint32_t> level(net.num_nodes(), 0);
-  std::uint32_t max_level = 0;
-  for (std::uint32_t i = 0; i < net.num_nodes(); ++i) {
-    const NodeId v{i};
-    if (!forest.in_tree(v)) continue;
-    std::uint32_t l = 0;
-    const std::uint32_t nf = net.num_fanins(v);
-    for (std::uint32_t k = 0; k < nf; ++k) {
-      const NodeId w = k == 0 ? net.fanin0(v) : net.fanin1(v);
-      if (net.is_gate(w) && forest.in_tree(w)) l = std::max(l, level[w.v] + 1);
-    }
-    level[i] = l;
-    max_level = std::max(max_level, l);
-  }
-  // Counting sort into the wave CSR: iterating nodes in ascending order
-  // reproduces the per-wave ascending node order of the old nested vectors.
-  std::vector<std::uint32_t> wave_count(max_level + 1, 0);
-  std::size_t in_tree_count = 0;
-  for (std::uint32_t i = 0; i < net.num_nodes(); ++i) {
-    if (forest.in_tree(NodeId{i})) {
-      ++wave_count[level[i]];
-      ++in_tree_count;
-    }
-  }
-  set.wave_first.assign(max_level + 2, 0);
-  for (std::uint32_t w = 0; w <= max_level; ++w)
-    set.wave_first[w + 1] = set.wave_first[w] + wave_count[w];
-  set.wave_node.resize(in_tree_count);
-  std::vector<std::uint32_t> cursor(max_level + 1);
-  for (std::uint32_t w = 0; w <= max_level; ++w) cursor[w] = set.wave_first[w];
-  for (std::uint32_t i = 0; i < net.num_nodes(); ++i) {
-    if (forest.in_tree(NodeId{i})) set.wave_node[cursor[level[i]]++] = i;
-  }
   return set;
 }
 
 std::vector<VertexCover> cover_forest(const BaseNetwork& net, const SubjectForest& forest,
                                       const MatchSet& matches, const Library& library,
                                       const std::vector<Point>& positions,
-                                      const CoverOptions& options, ThreadPool* pool) {
+                                      const CoverOptions& options) {
   CALS_CHECK(positions.size() == net.num_nodes());
   CALS_CHECK(matches.first.size() == net.num_nodes() + 1);
   std::vector<VertexCover> cover(net.num_nodes());
 
-  if (pool == nullptr || pool->num_workers() <= 1) {
-    CoverTally tally;
-    for (std::uint32_t i = 0; i < net.num_nodes(); ++i) {
-      // Cancellation checkpoint, amortized over the hot DP loop.
-      if ((i & 4095u) == 0u) cancel_point(options.cancel);
-      const NodeId v{i};
-      if (!forest.in_tree(v)) continue;
-      ++tally.vertices;
-      tally.matches += matches.slots_end(v) - matches.slots_begin(v);
-      cover[i] = cover_vertex_priced(matches, library, options, cover, v);
-    }
-    tally.publish();
-    return cover;
+  CoverTally tally;
+  for (std::uint32_t i = 0; i < net.num_nodes(); ++i) {
+    // Cancellation checkpoint, amortized over the hot DP loop.
+    if ((i & 4095u) == 0u) cancel_point(options.cancel);
+    const NodeId v{i};
+    if (!forest.in_tree(v)) continue;
+    ++tally.vertices;
+    tally.matches += matches.slots_end(v) - matches.slots_begin(v);
+    cover[i] = cover_vertex_priced(matches, library, options, cover, v);
   }
-
-  // Wave-synchronous parallel DP: within a wave every vertex reads only
-  // covers finalized by earlier waves, and each chunk writes a disjoint set
-  // of cover entries — results are bit-identical to the serial order.
-  const std::size_t num_waves =
-      matches.wave_first.size() == 0 ? 0 : matches.wave_first.size() - 1;
-  for (std::size_t w = 0; w < num_waves; ++w) {
-    // Checkpoint between waves (the serial driver thread — a throw here
-    // never crosses a pool-task boundary).
-    cancel_point(options.cancel);
-    ThreadPool::parallel_for(pool, matches.wave_first[w], matches.wave_first[w + 1], 32,
-                             [&](std::size_t lo, std::size_t hi) {
-                               CoverTally tally;
-                               for (std::size_t j = lo; j < hi; ++j) {
-                                 const NodeId v{matches.wave_node[j]};
-                                 ++tally.vertices;
-                                 tally.matches +=
-                                     matches.slots_end(v) - matches.slots_begin(v);
-                                 cover[v.v] =
-                                     cover_vertex_priced(matches, library, options, cover, v);
-                               }
-                               tally.publish();
-                             });
-  }
+  tally.publish();
   return cover;
 }
 

@@ -55,9 +55,8 @@ struct CoverOptions {
   double wire_delay_ns_per_um = 0.0016;
   /// Load estimate per fanout pin for the delay objective (fF).
   double est_sink_cap_ff = 3.0;
-  /// Cooperative cancellation, polled between DP waves (and every few
-  /// thousand vertices on the serial path). Not owned; null = never
-  /// cancelled.
+  /// Cooperative cancellation, polled every few thousand DP vertices. Not
+  /// owned; null = never cancelled.
   const CancelToken* cancel = nullptr;
 };
 
@@ -113,14 +112,6 @@ struct MatchSet {
   /// Per covered entry: the vertices a slot's match covers, in the matcher's
   /// discovery order (= Match::covered order, which realize/stats rely on).
   VecOrView<std::uint32_t> cov_node;
-  /// Dependency wavefronts of the covering DP, as a CSR over in-tree
-  /// vertices: wave w is wave_node[wave_first[w], wave_first[w+1]).
-  /// level[v] = 1 + max(level over live gate fanins), so every cover value a
-  /// vertex can read (fanin positions, subtree costs, duplication charges —
-  /// all reached through fanin chains) lives in a strictly earlier wave.
-  /// Vertices within one wave are mutually independent.
-  VecOrView<std::uint32_t> wave_first;
-  VecOrView<std::uint32_t> wave_node;
 
   std::uint32_t num_slots() const { return first.back(); }
   std::uint32_t slots_begin(NodeId v) const { return first[v.v]; }
@@ -129,22 +120,21 @@ struct MatchSet {
   Match materialize(std::uint32_t slot) const;
 };
 
-/// Precomputes matches (with the SoA pricing view and the cover wavefront
-/// schedule) for `forest`. positions[n] must hold the initial placement
-/// coordinate of every node — the same array later passed to cover_forest.
-/// Matching is per-vertex independent; a non-null pool parallelizes it.
+/// Precomputes matches (with the SoA pricing view) for `forest`.
+/// positions[n] must hold the initial placement coordinate of every node —
+/// the same array later passed to cover_forest. Matching is per-vertex
+/// independent; a non-null pool parallelizes it.
 MatchSet build_match_set(const BaseNetwork& net, const SubjectForest& forest,
                          const Matcher& matcher, const Library& library,
                          const std::vector<Point>& positions,
                          ThreadPool* pool = nullptr);
 
-/// The covering DP over precomputed matches. Bit-identical to the Matcher
-/// overload for any pool / thread count: parallel execution processes the
-/// waves in order, splitting each wave across the pool with disjoint writes.
+/// The covering DP over precomputed matches, in ascending node order (serial:
+/// a wave-parallel DP measured slower than this loop). Bit-identical to the
+/// Matcher overload.
 std::vector<VertexCover> cover_forest(const BaseNetwork& net, const SubjectForest& forest,
                                       const MatchSet& matches, const Library& library,
                                       const std::vector<Point>& positions,
-                                      const CoverOptions& options,
-                                      ThreadPool* pool = nullptr);
+                                      const CoverOptions& options);
 
 }  // namespace cals

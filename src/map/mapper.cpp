@@ -117,14 +117,14 @@ MatchDatabase build_match_database(const BaseNetwork& net, const Library& librar
 MapResult map_network_cached(const BaseNetwork& net, const Library& library,
                              const std::vector<Point>& positions,
                              const MatchDatabase& db, const CoverOptions& cover_options,
-                             ThreadPool* pool) {
+                             ThreadPool*) {
   CALS_CHECK_MSG(net.fanouts_built(), "call build_fanouts() first");
   CALS_CHECK_MSG(cover_options.metric == db.metric,
                  "match database was built for a different distance metric");
   std::vector<VertexCover> cover;
   {
     CALS_TRACE_SCOPE("map.cover");
-    cover = cover_forest(net, db.forest, db.matches, library, positions, cover_options, pool);
+    cover = cover_forest(net, db.forest, db.matches, library, positions, cover_options);
   }
   return realize_cover(net, library, db.forest, cover);
 }

@@ -52,8 +52,8 @@ MapResult map_network(const BaseNetwork& net, const Library& library,
 
 /// Everything in the mapping pipeline that does not depend on K (or on any
 /// other CoverOptions field): the subject forest for one {partition, metric}
-/// choice plus every per-vertex match candidate and the cover wavefront
-/// schedule. Build once per DesignContext / sweep, reuse for every K.
+/// choice plus every per-vertex match candidate. Build once per
+/// DesignContext / sweep, reuse for every K.
 struct MatchDatabase {
   PartitionStrategy partition = PartitionStrategy::kPlacementDriven;
   DistanceMetric metric = DistanceMetric::kManhattan;
@@ -70,12 +70,13 @@ MatchDatabase build_match_database(const BaseNetwork& net, const Library& librar
                                    ThreadPool* pool = nullptr);
 
 /// The per-K back half of map_network: DP cover over the cached database,
-/// then netlist construction. `cover.metric` must equal `db.metric` (the
-/// cached forest was partitioned with it). Produces a MapResult bit-identical
-/// to map_network() with the same options, for any pool / thread count.
+/// then netlist construction, serially. `cover.metric` must equal `db.metric`
+/// (the cached forest was partitioned with it). Produces a MapResult
+/// bit-identical to map_network() with the same options. The trailing pool
+/// is ignored; it stays only for callers that still pass one.
 MapResult map_network_cached(const BaseNetwork& net, const Library& library,
                              const std::vector<Point>& positions,
                              const MatchDatabase& db, const CoverOptions& cover,
-                             ThreadPool* pool = nullptr);
+                             ThreadPool* = nullptr);
 
 }  // namespace cals

@@ -23,6 +23,9 @@ struct CongestionStats {
 /// Per-gcell congestion (max utilization over incident edges), row-major.
 class CongestionMap {
  public:
+  /// An empty 0 x 0 map (all stats zero), e.g. a FlowRun whose route phase
+  /// never ran.
+  CongestionMap() = default;
   explicit CongestionMap(const RoutingGrid& grid);
 
   std::int32_t nx() const { return nx_; }

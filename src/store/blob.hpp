@@ -36,7 +36,9 @@
 namespace cals::store {
 
 inline constexpr char kMagic[8] = {'C', 'A', 'L', 'S', 'D', 'S', 'E', 'T'};
-inline constexpr std::uint32_t kFormatVersion = 1;
+/// Format 2: the match-db section holds no cover wavefront arrays. A blob of
+/// any other version is rejected.
+inline constexpr std::uint32_t kFormatVersion = 2;
 inline constexpr std::uint32_t kEndianMarker = 0x01020304u;
 inline constexpr std::size_t kKeyLength = 16;
 inline constexpr std::size_t kHeaderBaseSize = 56;

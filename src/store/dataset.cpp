@@ -118,8 +118,6 @@ std::vector<std::uint8_t> serialize_dataset(const DesignContext& context,
   arr(m.pin_pos);
   arr(m.dup_node);
   arr(m.cov_node);
-  arr(m.wave_first);
-  arr(m.wave_node);
   w.end_section();
 
   return w.finish(key, version);
@@ -395,8 +393,7 @@ Result<std::shared_ptr<MatchDatabase>> read_match_db(const SectionRange& sec,
     return bad("matchdb", "bad entry indexes");
   if (!read_view(r, &m.pin_node, kMaxEntries) || !read_view(r, &m.pin_flags, kMaxEntries) ||
       !read_view(r, &m.pin_pos, kMaxEntries) || !read_view(r, &m.dup_node, kMaxEntries) ||
-      !read_view(r, &m.cov_node, kMaxEntries) || !read_view(r, &m.wave_first, kMaxEntries) ||
-      !read_view(r, &m.wave_node, kMaxEntries) || !r.at_end())
+      !read_view(r, &m.cov_node, kMaxEntries) || !r.at_end())
     return bad("matchdb", "bad entry arrays");
 
   if (!csr_valid(m.pin_first, slots, m.pin_node.size()) ||
@@ -406,11 +403,7 @@ Result<std::shared_ptr<MatchDatabase>> read_match_db(const SectionRange& sec,
     return bad("matchdb", "bad duplication rows");
   if (!csr_valid(m.cov_first, slots, m.cov_node.size()))
     return bad("matchdb", "bad covered rows");
-  if (m.wave_first.empty() ||
-      !csr_valid(m.wave_first, m.wave_first.size() - 1, m.wave_node.size()))
-    return bad("matchdb", "bad wave rows");
-  if (!ids_below(m.pin_node, n) || !ids_below(m.dup_node, n) || !ids_below(m.cov_node, n) ||
-      !ids_below(m.wave_node, n))
+  if (!ids_below(m.pin_node, n) || !ids_below(m.dup_node, n) || !ids_below(m.cov_node, n))
     return bad("matchdb", "entry node out of range");
   // Read through a const alias: the mutable VecOrView operator[] is an
   // owning-mode-only accessor and aborts on views.

@@ -19,17 +19,9 @@
 #include "util/strings.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
+#include "workloads/presets.hpp"
 
 namespace cals::svc {
-namespace {
-
-/// The Fig. 3 schedule cals_flow uses for --k auto; auto_k jobs get the same.
-const std::vector<double>& default_k_schedule() {
-  static const std::vector<double> schedule = {0.0, 0.025, 0.05, 0.1, 0.25, 0.5};
-  return schedule;
-}
-
-}  // namespace
 
 Result<JobDesign> build_job_design(const JobSpec& spec) {
   // ---- front end ----------------------------------------------------------
@@ -42,7 +34,9 @@ Result<JobDesign> build_job_design(const JobSpec& spec) {
   } else {
     const Result<Pla> pla = parse_pla_string(spec.design_text);
     if (!pla.ok()) return pla.status();
-    net = spec.sis ? synthesize_sis_mode(*pla) : synthesize_base(*pla);
+    // The calibrated SIS-style script cals_flow and the paper tables use.
+    net = spec.sis ? synthesize_sis_mode(*pla, nullptr, workloads::sis_extract_options())
+                   : synthesize_base(*pla);
   }
 
   // ---- library + floorplan ------------------------------------------------
@@ -71,7 +65,7 @@ JobOutcome evaluate_job_on_context(const JobSpec& spec, const DesignContext& con
 
   if (spec.auto_k) {
     FlowIterationResult search =
-        congestion_aware_flow(context, default_k_schedule(), options);
+        congestion_aware_flow(context, kAutoKSchedule, options);
     outcome.status = search.status;
     if (!search.runs.empty()) {
       outcome.metrics = search.runs[search.chosen].metrics;

@@ -12,10 +12,17 @@ namespace {
 // Reads the whole file into `out` (any contiguous byte container) with one
 // allocation sized from the file length. Regular-file sizes from
 // fseek/ftell are exact; a short read (truncation race) shrinks the buffer.
+// Anything else is refused: a directory opens, but its "size" can be
+// LONG_MAX.
 template <typename Container>
 Status read_into(const std::string& path, Container* out) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return Status::internal(strprintf("cannot open %s", path.c_str()));
+  std::error_code ec;
+  if (!std::filesystem::is_regular_file(path, ec)) {
+    std::fclose(f);
+    return Status::internal(strprintf("cannot read %s: not a regular file", path.c_str()));
+  }
   if (std::fseek(f, 0, SEEK_END) != 0) {
     std::fclose(f);
     return Status::internal(strprintf("cannot seek %s", path.c_str()));

@@ -1,16 +1,16 @@
 #pragma once
 /// \file thread_pool.hpp
 /// A small shared worker pool for the flow's reuse-and-parallelism layer:
-/// concurrent K evaluations, parallel match building, and wavefront tree
-/// covering all run on one pool so the total thread count stays bounded by
-/// FlowOptions::num_threads. Placement and routing inside one evaluation
-/// are serial and never use it.
+/// concurrent K evaluations and parallel match building run on one pool so
+/// the total thread count stays bounded by FlowOptions::num_threads.
+/// Covering, placement and routing inside one evaluation are serial and
+/// never use it.
 ///
 /// Design notes:
 ///  * Tasks are submitted through a TaskGroup (fork/join). `wait()` *helps*:
 ///    while its tasks are outstanding the waiting thread pops and executes
 ///    pending pool tasks, so nested groups (a K-evaluation task that itself
-///    fans out its covering DP) never deadlock and never idle a core that
+///    fans out match enumeration) never deadlock and never idle a core that
 ///    has runnable work.
 ///  * Determinism is the caller's contract, not the pool's: every algorithm
 ///    built on top of it partitions its writes disjointly and only reads

@@ -58,7 +58,9 @@ TEST(BaseNetwork, FaninsPrecedeNode) {
   const NodeId c = net.add_and2(a, b);
   const NodeId d = net.add_or2(c, a);
   for (NodeId n : {c, d}) {
-    if (net.kind(n) == NodeKind::kNand2) EXPECT_LT(net.fanin1(n).v, n.v);
+    if (net.kind(n) == NodeKind::kNand2) {
+      EXPECT_LT(net.fanin1(n).v, n.v);
+    }
     EXPECT_LT(net.fanin0(n).v, n.v);
   }
 }

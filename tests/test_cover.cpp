@@ -182,8 +182,11 @@ TEST(Cover, EveryLiveGateGetsACover) {
   for (int i = 0; i < 6; ++i) x = c.net.add_nand2(c.net.add_inv(x), i % 2 == 0 ? a : b);
   c.net.add_po("o", x);
   const auto cover = c.cover(PartitionStrategy::kDagon, {});
-  for (std::uint32_t i = 0; i < c.net.num_nodes(); ++i)
-    if (c.net.is_gate(NodeId{i})) EXPECT_TRUE(cover[i].valid) << "gate " << i;
+  for (std::uint32_t i = 0; i < c.net.num_nodes(); ++i) {
+    if (c.net.is_gate(NodeId{i})) {
+      EXPECT_TRUE(cover[i].valid) << "gate " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -183,5 +183,75 @@ TEST(Flow, ReplacedPlacementAlsoWorks) {
   EXPECT_GT(run.metrics.hpwl_um, 0.0);
 }
 
+/// Same placement, routes, congestion maps, timing and QoR metrics.
+void expect_same_run(const FlowRun& a, const FlowRun& b) {
+  EXPECT_EQ(a.placement.pos, b.placement.pos);
+  ASSERT_EQ(a.route.nets.size(), b.route.nets.size());
+  for (std::size_t i = 0; i < a.route.nets.size(); ++i)
+    EXPECT_EQ(a.route.nets[i].paths, b.route.nets[i].paths) << "net " << i;
+  EXPECT_EQ(a.route.rrr_iterations, b.route.rrr_iterations);
+  EXPECT_EQ(a.congestion.to_csv(), b.congestion.to_csv());
+  EXPECT_EQ(a.congestion_pre.to_csv(), b.congestion_pre.to_csv());
+  EXPECT_EQ(a.sta.critical.arrival_ns, b.sta.critical.arrival_ns);
+  const FlowMetrics& m = a.metrics;
+  const FlowMetrics& n = b.metrics;
+  EXPECT_EQ(m.k_factor, n.k_factor);
+  EXPECT_EQ(m.num_cells, n.num_cells);
+  EXPECT_EQ(m.cell_area_um2, n.cell_area_um2);
+  EXPECT_EQ(m.hpwl_um, n.hpwl_um);
+  EXPECT_EQ(m.routing_violations, n.routing_violations);
+  EXPECT_EQ(m.wirelength_um, n.wirelength_um);
+  EXPECT_EQ(m.critical_path_ns, n.critical_path_ns);
+  EXPECT_EQ(m.crit_start, n.crit_start);
+  EXPECT_EQ(m.crit_end, n.crit_end);
+  EXPECT_EQ(m.rcm_passes, n.rcm_passes);
+  EXPECT_EQ(m.rcm_cells_moved, n.rcm_cells_moved);
+  EXPECT_EQ(m.rcm_overflow_removed, n.rcm_overflow_removed);
+}
+
+TEST(Flow, ImplementReproducesRunFromItsNetlist) {
+  const Library lib = lib::make_corelib();
+  BaseNetwork net = synthesize_base(small_pla(31));
+  const Floorplan fp = Floorplan::for_cell_area(net.num_base_gates() * 5.4, 0.6, lib.tech());
+  const DesignContext context(net, &lib, fp);
+  FlowOptions options;
+  options.K = 0.05;
+  options.replace_mapped = false;
+  options.num_threads = 1;
+  options.rgrid.capacity_scale = 0.6;  // overflow left for the router and repair
+
+  for (const std::uint32_t passes : {0u, 2u}) {
+    SCOPED_TRACE(passes);
+    options.repair_passes = passes;
+    const FlowRun run = context.run(options);
+    ASSERT_GT(run.congestion.stats().total_overflow + run.repair.overflow_removed(), 0u);
+    const FlowResult again = context.implement(run.map, options);
+    ASSERT_TRUE(again.ok()) << again.status.to_string();
+    EXPECT_EQ(again.phases_completed, kNumFlowPhases);
+    expect_same_run(again.run, run);
+    EXPECT_EQ(again.run.congestion_pre.nx() > 0, passes != 0);
+  }
+
+  // The physical knobs reach a netlist passed in: implement under refine
+  // passes or a rip-up cap reproduces the run that used them, and moves off
+  // the run that did not.
+  options.repair_passes = 0;
+  const FlowRun plain = context.run(options);
+  FlowOptions refined = options;
+  refined.refine_passes = 2;
+  const FlowResult refined_again = context.implement(plain.map, refined);
+  ASSERT_TRUE(refined_again.ok());
+  expect_same_run(refined_again.run, context.run(refined));
+  EXPECT_NE(refined_again.run.placement.pos, plain.placement.pos);
+
+  FlowOptions capped = options;
+  capped.max_route_iters = 1;
+  const FlowResult capped_again = context.implement(plain.map, capped);
+  ASSERT_TRUE(capped_again.ok());
+  expect_same_run(capped_again.run, context.run(capped));
+  EXPECT_LE(capped_again.run.route.rrr_iterations, 1u);
+  EXPECT_LT(capped_again.run.route.rrr_iterations, plain.route.rrr_iterations);
+}
+
 }  // namespace
 }  // namespace cals

@@ -132,7 +132,7 @@ TEST(FlowParallel, RowSearchBitIdenticalToSerial) {
 
 TEST(FlowParallel, ThreadCountSweepBitIdenticalAcrossPresets) {
   // The multi-core contract end-to-end: the full flow (pool-parallel
-  // matching and covering, then serial placement and routing) at T = 2/4/8
+  // matching, then serial covering, placement and routing) at T = 2/4/8
   // reproduces the serial run bit-for-bit on every preset family.
   ScopedLogLevel silence(LogLevel::kSilent);
   const Pla presets[] = {workloads::spla_like(kScale), workloads::pdc_like(kScale),

@@ -418,9 +418,7 @@ TEST_F(ObsTest, TracedFlowCoversAllPhasesAndExportsCongestionCsv) {
   EXPECT_EQ(run.route.iter_stats.size(), run.route.rrr_iterations);
 
   // Congestion CSV heatmap: ny rows of nx comma-separated utilizations.
-  RoutingGrid grid(fp, options.rgrid);
-  route(grid, run.binding.graph, run.placement, options.route);
-  const CongestionMap map(grid);
+  const CongestionMap& map = run.congestion;
   const std::string csv = map.to_csv();
   std::size_t rows = 0;
   std::size_t commas = 0;

@@ -183,7 +183,7 @@ TEST(Rcm, FlowRepairKnobReducesViolationsWithValidSta) {
   const FlowRun baseline = context.run(options);
   ASSERT_GT(baseline.metrics.routing_violations, 0u);
   EXPECT_EQ(baseline.metrics.rcm_passes, 0u);
-  EXPECT_TRUE(baseline.congestion_pre_csv.empty());
+  EXPECT_TRUE(baseline.congestion_pre.to_csv().empty());
 
   options.repair_passes = 3;
   const FlowRun repaired = context.run(options);
@@ -200,11 +200,13 @@ TEST(Rcm, FlowRepairKnobReducesViolationsWithValidSta) {
   EXPECT_FALSE(repaired.sta.critical.start.empty());
   EXPECT_FALSE(repaired.sta.critical.end.empty());
   // The pre/post heatmaps were captured and differ (repair moved demand).
-  EXPECT_FALSE(repaired.congestion_pre_csv.empty());
-  EXPECT_FALSE(repaired.congestion_post_csv.empty());
-  EXPECT_NE(repaired.congestion_pre_csv, repaired.congestion_post_csv);
-  EXPECT_EQ(repaired.congestion_pre.total_overflow,
+  EXPECT_FALSE(repaired.congestion_pre.to_csv().empty());
+  EXPECT_FALSE(repaired.congestion.to_csv().empty());
+  EXPECT_NE(repaired.congestion_pre.to_csv(), repaired.congestion.to_csv());
+  EXPECT_EQ(repaired.congestion_pre.stats().total_overflow,
             baseline.metrics.routing_violations);
+  // The map before repair is the one the repair-off run ships.
+  EXPECT_EQ(repaired.congestion_pre.to_csv(), baseline.congestion.to_csv());
 }
 
 TEST(Rcm, FlowRepairOffBitIdenticalToSeedFlow) {

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "flow/baselines.hpp"
 #include "sop/pla_io.hpp"
 #include "store/dataset_store.hpp"
 #include "svc/dataset_pack.hpp"
@@ -427,6 +428,23 @@ TEST(SvcRunJob, ThreadCountIsBitIdentical) {
   ASSERT_TRUE(serial.status.ok());
   ASSERT_TRUE(wide.status.ok());
   expect_metrics_identical(serial.metrics, wide.metrics);
+}
+
+TEST(SvcRunJob, SisJobUsesTheCalibratedExtraction) {
+  // A `sis` job maps the network cals_flow --sis and the paper tables build:
+  // the calibrated extraction, not the default ExtractOptions.
+  const Pla pla = workloads::spla_like(0.05);
+  JobSpec spec = tiny_job();
+  spec.design_text = write_pla_string(pla);
+  spec.sis = true;
+  const Result<JobDesign> design = build_job_design(spec);
+  ASSERT_TRUE(design.ok()) << design.status().to_string();
+  const BaseNetwork expected =
+      synthesize_sis_mode(pla, nullptr, workloads::sis_extract_options());
+  ASSERT_NE(synthesize_sis_mode(pla).num_base_gates(), expected.num_base_gates())
+      << "the two extraction settings must differ on this design";
+  EXPECT_EQ(design->net.num_base_gates(), expected.num_base_gates());
+  EXPECT_EQ(design->net.num_nodes(), expected.num_nodes());
 }
 
 // ---- result cache ----------------------------------------------------------

@@ -2,12 +2,22 @@
 
 #include <set>
 
+#include "util/io.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
 namespace cals {
 namespace {
+
+TEST(Io, WholeFileReadsRefuseDirectoriesAndMissingFiles) {
+  // A directory opens like a file, but its seek-to-end "size" can be huge;
+  // the readers must answer with a status, not a giant allocation.
+  const std::string dir = ::testing::TempDir();
+  EXPECT_FALSE(read_file_string(dir).ok());
+  EXPECT_FALSE(read_file_bytes(dir).ok());
+  EXPECT_FALSE(read_file_string(dir + "/cals_no_such_file").ok());
+}
 
 TEST(Rng, DeterministicForSameSeed) {
   Rng a(42);

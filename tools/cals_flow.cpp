@@ -1,7 +1,9 @@
 /// cals_flow — command-line driver for the whole congestion-aware synthesis
 /// flow: read a design (espresso PLA or BLIF), synthesize, map with the
 /// chosen K (or search for one, Fig. 3 style), place, route, time, and
-/// export the results.
+/// export the results. The run is described as a batch job (svc::JobSpec)
+/// and built by the job path's front end, so a served job with the same
+/// spec reports the same numbers.
 ///
 /// Usage:
 ///   cals_flow [options] <design.pla | design.blif>
@@ -43,20 +45,15 @@
 #include <fstream>
 #include <string>
 
-#include "flow/baselines.hpp"
 #include "flow/flow.hpp"
-#include "library/corelib.hpp"
-#include "library/genlib.hpp"
 #include "map/buffering.hpp"
 #include "map/netlist_io.hpp"
-#include "netlist/blif.hpp"
-#include "route/congestion.hpp"
-#include "sop/pla_io.hpp"
+#include "svc/service.hpp"
 #include "timing/sta.hpp"
+#include "util/io.hpp"
 #include "util/obs.hpp"
 #include "util/status.hpp"
 #include "util/strings.hpp"
-#include "workloads/presets.hpp"
 
 using namespace cals;
 
@@ -184,6 +181,53 @@ void save(const std::string& path, const std::string& text, bool quiet,
   if (!quiet) std::printf("wrote %s to %s\n", what, path.c_str());
 }
 
+/// A whole input file as text. A missing file is the parse error the file
+/// readers report ("<what>: cannot open file", naming the path).
+Result<std::string> read_text(const std::string& path, const char* what) {
+  Result<std::string> text = read_file_string(path);
+  if (!text.ok())
+    return Status::parse_error(std::string(what) + ": cannot open file").with_file(path);
+  return text;
+}
+
+/// The run as a job spec, exactly as a served job would describe it.
+Result<svc::JobSpec> job_spec(const Args& args) {
+  svc::JobSpec spec;
+  spec.name = "cals_flow";
+  spec.format = ends_with(args.design, ".blif") ? svc::DesignFormat::kBlif
+                                                : svc::DesignFormat::kPla;
+  Result<std::string> design =
+      read_text(args.design, spec.format == svc::DesignFormat::kBlif ? "blif" : "pla");
+  if (!design.ok()) return design.status();
+  spec.design_text = std::move(*design);
+  if (!args.library_file.empty()) {
+    Result<std::string> genlib = read_text(args.library_file, "genlib");
+    if (!genlib.ok()) return genlib.status();
+    // A job's empty genlib means the built-in corelib; an empty file is not.
+    if (genlib->empty())
+      return Status::parse_error("genlib: empty library file").with_file(args.library_file);
+    spec.genlib_text = std::move(*genlib);
+  }
+  spec.sis = args.sis;
+  spec.auto_k = args.k < 0.0;
+  spec.rows = args.rows;
+  spec.util = args.util;
+  FlowOptions& options = spec.options;
+  options.K = spec.auto_k ? 0.0 : args.k;
+  options.partition = args.partition;
+  options.objective = args.objective;
+  options.replace_mapped = false;
+  options.refine_passes = args.refine;
+  options.num_threads = args.threads;
+  options.max_route_iters = args.max_route_iters;
+  options.repair_passes = args.repair_passes;
+  options.repair_window = args.repair_window;
+  options.repair_max_cells = args.repair_max_cells;
+  options.phase_time_budget_s = args.time_budget_s;
+  options.on_error = ErrorPolicy::kBestEffort;
+  return spec;
+}
+
 /// The flow proper, separated from main() so the top-level catch can turn
 /// any escaped exception into a one-line diagnostic + exit 1.
 int run_flow(const Args& args) {
@@ -196,64 +240,37 @@ int run_flow(const Args& args) {
     return 1;
   };
 
-  // ---- frontend -----------------------------------------------------------
-  BaseNetwork net;
-  if (ends_with(args.design, ".blif")) {
-    Result<BlifModel> model = parse_blif_file(args.design);
-    if (!model.ok()) return fail(model.status());
-    net = std::move(model->network);
-    net.compact();
-    if (args.sis)
-      std::fprintf(stderr, "note: --sis only applies to PLA inputs; ignored\n");
-  } else {
-    const Result<Pla> pla = parse_pla_file(args.design);
-    if (!pla.ok()) return fail(pla.status());
-    SynthesisStats stats;
-    net = args.sis ? synthesize_sis_mode(*pla, &stats, workloads::sis_extract_options())
-                   : synthesize_base(*pla, &stats);
+  // ---- front end: the job path's parse, synthesis, library and floorplan ----
+  const Result<svc::JobSpec> spec = job_spec(args);
+  if (!spec.ok()) return fail(spec.status());
+  if (args.sis && spec->format == svc::DesignFormat::kBlif)
+    std::fprintf(stderr, "note: --sis only applies to PLA inputs; ignored\n");
+  // Keeps the library every netlist below points into.
+  Result<svc::JobDesign> design = svc::build_job_design(*spec);
+  if (!design.ok()) {
+    // The job path parses text; name the file at fault as the file readers
+    // do (the genlib parser marks its own failures "<genlib>").
+    Status status = design.status();
+    status.with_file(status.file() == "<genlib>" ? args.library_file : args.design);
+    return fail(status);
   }
-  say("design: %zu PIs, %zu POs, %u base gates\n", net.pis().size(), net.pos().size(),
-      net.num_base_gates());
-
-  // ---- library + floorplan ---------------------------------------------------
-  Library lib = lib::make_corelib();
-  if (!args.library_file.empty()) {
-    Result<Library> parsed = parse_genlib_file(args.library_file);
-    if (!parsed.ok()) return fail(parsed.status());
-    lib = std::move(*parsed);
-  }
-  const Floorplan fp =
-      args.rows > 0
-          ? Floorplan::square_with_rows(args.rows, lib.tech())
-          : Floorplan::for_cell_area(net.num_base_gates() * 5.3, args.util, lib.tech());
+  const Library& lib = design->library;
+  const Floorplan& fp = design->floorplan;
+  say("design: %zu PIs, %zu POs, %u base gates\n", design->net.pis().size(),
+      design->net.pos().size(), design->net.num_base_gates());
   say("floorplan: %u rows, %.0f x %.0f um (library '%s', %u cells)\n", fp.num_rows(),
       fp.die().width(), fp.die().height(), lib.name().c_str(), lib.num_cells());
 
-  const DesignContext context(net, &lib, fp);
-
-  FlowOptions options;
-  options.partition = args.partition;
-  options.objective = args.objective;
-  options.replace_mapped = false;
-  options.refine_passes = args.refine;
-  options.num_threads = args.threads;
-  options.max_route_iters = args.max_route_iters;
-  options.repair_passes = args.repair_passes;
-  options.repair_window = args.repair_window;
-  options.repair_max_cells = args.repair_max_cells;
-  options.phase_time_budget_s = args.time_budget_s;
-  options.on_error = ErrorPolicy::kBestEffort;
+  const DesignContext context(std::move(design->net), &lib, fp);
 
   // ---- mapping: fixed K or Fig. 3 search --------------------------------------
   FlowRun run;
-  if (args.k >= 0.0) {
-    options.K = args.k;
-    FlowResult checked = context.run_checked(options);
+  if (!spec->auto_k) {
+    FlowResult checked = context.run_checked(spec->options);
     if (!checked.ok()) return fail(checked.status);
     run = std::move(checked.run);
   } else {
-    FlowIterationResult search =
-        congestion_aware_flow(context, {0.0, 0.025, 0.05, 0.1, 0.25, 0.5}, options);
+    FlowIterationResult search = congestion_aware_flow(context, kAutoKSchedule, spec->options);
     // kInfeasible just means no K converged — report the best run anyway, as
     // the paper's designer would (then add routing resources). Anything else
     // (budget, injected fault, captured exception) is a failed run.
@@ -262,45 +279,28 @@ int run_flow(const Args& args) {
     run = std::move(search.runs[search.chosen]);
     say("auto K search: %zu iteration(s), chose K = %g%s\n", search.runs.size(),
         run.metrics.k_factor, search.converged ? "" : " (did NOT converge)");
-    options.K = run.metrics.k_factor;
   }
 
-  // ---- optional buffering (re-evaluates placement/routing/timing) -------------
-  MappedNetlist netlist = std::move(run.map.netlist);
+  // ---- optional buffering: the buffered netlist is implemented afresh -------
   if (args.buffer_fanout >= 2) {
     BufferingStats stats;
     BufferingOptions buffer_options;
     buffer_options.max_fanout = args.buffer_fanout;
-    netlist = buffer_high_fanout(netlist, buffer_options, &stats);
+    MapResult buffered{buffer_high_fanout(run.map.netlist, buffer_options, &stats),
+                       run.map.stats};
+    buffered.stats.num_cells = buffered.netlist.num_instances();
+    buffered.stats.cell_area = buffered.netlist.total_cell_area();
     say("buffering: %u buffers inserted, max fanout %u -> %u\n",
         stats.buffers_inserted, stats.max_fanout_before, stats.max_fanout_after);
-    run.binding = netlist.lower(fp);
-    run.placement = netlist.seed_placement(run.binding);
-    legalize(run.binding.graph, fp, run.placement);
-    RoutingGrid grid(fp, options.rgrid);
-    if (options.repair_passes == 0) {
-      run.route = route(grid, run.binding.graph, run.placement, options.route);
-    } else {
-      // The buffered netlist is a new design: redo route + repair so the
-      // reported result (and the pre/post heatmaps) describe it, not the
-      // pre-buffering run.
-      Router router(grid, run.binding.graph, run.placement, options.route);
-      router.run();
-      run.congestion_pre_csv = CongestionMap(grid).to_csv();
-      rcm::RepairOptions repair_options;
-      repair_options.passes = options.repair_passes;
-      repair_options.window = options.repair_window;
-      repair_options.max_cells = options.repair_max_cells;
-      repair_options.reroute_iterations = options.route.max_rrr_iterations;
-      run.repair = rcm::repair(router, grid, run.binding.graph, fp, run.placement,
-                               repair_options);
-      run.route = router.take();
-      run.congestion_post_csv = CongestionMap(grid).to_csv();
-    }
-    run.sta = run_sta(netlist, run.binding, run.route);
+    FlowOptions options = spec->options;
+    options.K = run.metrics.k_factor;
+    FlowResult checked = context.implement(std::move(buffered), options);
+    if (!checked.ok()) return fail(checked.status);
+    run = std::move(checked.run);
   }
 
   // ---- results ------------------------------------------------------------------
+  const MappedNetlist& netlist = run.map.netlist;
   std::printf("cells: %u  cell area: %.1f um^2  utilization: %.1f%%\n",
               netlist.num_instances(), netlist.total_cell_area(),
               100.0 * netlist.total_cell_area() / fp.core_area());
@@ -316,28 +316,20 @@ int run_flow(const Args& args) {
               run.sta.critical.start.c_str(), run.sta.critical.end.c_str(),
               run.sta.critical.arrival_ns);
 
-  if (args.report || !args.congestion_csv_out.empty()) {
-    if (args.report) std::printf("\n%s", timing_report(netlist, run.sta).c_str());
-    // When repair ran, the flow captured exact pre/post heatmaps of the live
-    // routing session — emit the pair. Otherwise rebuild the single final
-    // map by re-routing the (deterministic) solution, as before.
-    const bool have_repair_maps = !run.congestion_post_csv.empty();
-    if (args.report || (!args.congestion_csv_out.empty() && !have_repair_maps)) {
-      RoutingGrid grid(fp, options.rgrid);
-      route(grid, run.binding.graph, run.placement, options.route);
-      const CongestionMap map(grid);
-      if (args.report)
-        std::printf("\ncongestion map ('X' = over capacity):\n%s",
-                    map.ascii_art().c_str());
-      if (!args.congestion_csv_out.empty() && !have_repair_maps)
-        save(args.congestion_csv_out, map.to_csv(), args.quiet, "congestion CSV");
-    }
-    if (!args.congestion_csv_out.empty() && have_repair_maps) {
+  if (args.report) {
+    std::printf("\n%s", timing_report(netlist, run.sta).c_str());
+    std::printf("\ncongestion map ('X' = over capacity):\n%s",
+                run.congestion.ascii_art().c_str());
+  }
+  if (!args.congestion_csv_out.empty()) {
+    if (args.repair_passes == 0) {
+      save(args.congestion_csv_out, run.congestion.to_csv(), args.quiet, "congestion CSV");
+    } else {
       std::string base = args.congestion_csv_out;
       if (ends_with(base, ".csv")) base.resize(base.size() - 4);
-      save(base + ".pre.csv", run.congestion_pre_csv, args.quiet,
+      save(base + ".pre.csv", run.congestion_pre.to_csv(), args.quiet,
            "pre-repair congestion CSV");
-      save(base + ".post.csv", run.congestion_post_csv, args.quiet,
+      save(base + ".post.csv", run.congestion.to_csv(), args.quiet,
            "post-repair congestion CSV");
     }
   }

@@ -48,10 +48,13 @@ run_case "parse.blif"   1 "$BLIF"
 run_case "parse.genlib" 1 --library "$GENLIB" "$PLA"
 
 # Flow phase probes (throw): best-effort policy converts to Status, exit 1.
-run_case "flow.map"   1 "$PLA"
-run_case "flow.place" 1 "$PLA"
-run_case "flow.route" 1 "$PLA"
-run_case "flow.sta"   1 "$PLA"
+# count=0 fires at every visit: the default --k auto run evaluates a window of
+# K points at once, and a one-shot fault can land in a point past the
+# converged K, whose result the flow discards (a clean exit 0).
+run_case "flow.map:count=0"   1 "$PLA"
+run_case "flow.place:count=0" 1 "$PLA"
+run_case "flow.route:count=0" 1 "$PLA"
+run_case "flow.sta:count=0"   1 "$PLA"
 
 # Cooperative router degradation: the flow completes with the best
 # (possibly unconverged) run — a normal exit either way.
@@ -65,8 +68,9 @@ run_case "flow.repair" 0 --repair-passes 1 "$PLA"
 # kFail at the probe skips repair quietly: same unrepaired-but-valid result.
 run_case "flow.repair:action=fail:count=0" 0 --repair-passes 1 "$PLA"
 
-# Injected delay + tight phase budget: bounded-time kBudgetExceeded, exit 1.
-run_case "flow.place:action=delay:delay_ms=400" 1 --time-budget 0.1 "$PLA"
+# Injected delay + tight phase budget: bounded-time kBudgetExceeded, exit 1
+# (every visit delayed, as above).
+run_case "flow.place:action=delay:delay_ms=400:count=0" 1 --time-budget 0.1 "$PLA"
 
 # Pool-task dispatch: the TaskGroup captures the throw, wait() rethrows, the
 # CLI's top-level handler reports it — still a normal exit.

@@ -2,12 +2,11 @@
 """QoR drift ledger (DESIGN.md §13): append-only JSONL history of quality-
 of-results figures, with a drift check against the committed baseline.
 
-Rows come from two sources:
-  * flight records (spool/flights/*.flight.json, see src/svc/flight.hpp):
-    the per-job QoR figures — cells, area, wirelength, violations, critical
-    path, rows. Keyed by the job's name, so CI submits with stable --name.
-  * BENCH JSON files (BENCH_serve.json, BENCH_route.json, ...): every
-    numeric leaf, flattened to dotted paths. Keyed by file basename.
+Rows come from flight records (spool/flights/*.flight.json, see
+src/svc/flight.hpp): the per-job QoR figures — cells, area, wirelength,
+violations, critical path, rows. Keyed by the job's name, so CI submits with
+stable --name. Older "bench" rows (from retired BENCH_*.json tables) stay in
+the file as history; nothing checks them.
 
 Each ledger row:  {"source": ..., "kind": "flight"|"bench", "metrics": {...}}
 New rows for a source supersede old ones (the history stays in the file).
@@ -20,8 +19,8 @@ New rows for a source supersede old ones (the history stays in the file).
     / _us) are machine-dependent and are reported but never enforced.
 
 Usage:
-    qor_ledger.py append --ledger QOR_LEDGER.jsonl [--flight F...] [--bench B...]
-    qor_ledger.py check  --ledger QOR_LEDGER.jsonl [--flight F...] [--bench B...]
+    qor_ledger.py append --ledger QOR_LEDGER.jsonl --flight F...
+    qor_ledger.py check  --ledger QOR_LEDGER.jsonl --flight F...
                          [--rel-tol 1e-6] [--allow-new]
 
 Exit 0 when every checked metric is within tolerance (or on append), 1 on
@@ -52,21 +51,6 @@ def is_perf_metric(name: str) -> bool:
     return PERF_METRIC.search(name) is not None
 
 
-def flatten(prefix: str, value, out: dict) -> None:
-    """Numeric leaves of a JSON document as dotted-path -> float."""
-    if isinstance(value, bool):
-        out[prefix] = float(value)
-    elif isinstance(value, (int, float)):
-        out[prefix] = float(value)
-    elif isinstance(value, dict):
-        for key, child in value.items():
-            flatten(f"{prefix}.{key}" if prefix else key, child, out)
-    elif isinstance(value, list):
-        for i, child in enumerate(value):
-            flatten(f"{prefix}.{i}", child, out)
-    # strings and nulls carry no QoR signal
-
-
 def load_json(path: str):
     try:
         with open(path) as f:
@@ -94,21 +78,10 @@ def row_from_flight(path: str) -> dict:
     return {"source": f"flight:{name}", "kind": "flight", "metrics": metrics}
 
 
-def row_from_bench(path: str) -> dict:
-    doc = load_json(path)
-    metrics: dict = {}
-    flatten("", doc, metrics)
-    if not metrics:
-        fail(f"{path}: no numeric metrics found")
-    basename = path.rsplit("/", 1)[-1]
-    return {"source": f"bench:{basename}", "kind": "bench", "metrics": metrics}
-
-
 def collect_rows(args) -> list:
     rows = [row_from_flight(p) for p in args.flight]
-    rows += [row_from_bench(p) for p in args.bench]
     if not rows:
-        fail("nothing to process: give --flight and/or --bench inputs")
+        fail("nothing to process: give --flight inputs")
     return rows
 
 
@@ -181,8 +154,6 @@ def main() -> None:
         p.add_argument("--ledger", required=True)
         p.add_argument("--flight", nargs="*", default=[],
                        help="flight record JSON files")
-        p.add_argument("--bench", nargs="*", default=[],
-                       help="BENCH_*.json files")
         p.set_defaults(func=func)
         if name == "check":
             p.add_argument("--rel-tol", type=float, default=1e-6)
