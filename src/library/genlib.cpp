@@ -100,6 +100,8 @@ Result<Library> parse_genlib_impl(std::istream& in) {
   if (in.bad()) return Status::parse_error("genlib: read failure", lineno);
 
   Library lib(lib_name, tech);
+  bool has_inv = false;
+  bool has_nand2 = false;
   for (const PendingCell& c : pending) {
     std::vector<Pattern> patterns;
     patterns.reserve(c.exprs.size());
@@ -122,10 +124,23 @@ Result<Library> parse_genlib_impl(std::istream& in) {
             strprintf("genlib: cell %s: ALT pattern computes a different function",
                       c.name.c_str()),
             expr_line);
+      // Only a one-gate pattern covers a lone base gate: INV(a), or NAND(a,b)
+      // over two distinct pins.
+      if (pattern->num_gates() == 1) {
+        has_inv |= pattern->root_kind() == PatternKind::kInv;
+        has_nand2 |= pattern->root_kind() == PatternKind::kNand2 && pattern->num_vars() == 2;
+      }
       patterns.push_back(std::move(*pattern));
     }
     lib.add_cell(Cell(c.name, c.area, std::move(patterns), c.intrinsic, c.slope, c.cap));
   }
+  // Every base gate is an INV or a NAND2: without both bare patterns the
+  // mapper meets a vertex it cannot cover.
+  if (!has_inv || !has_nand2)
+    return Status::parse_error(
+        strprintf("genlib: no cell has a bare %s pattern, so the library cannot "
+                  "cover the base network",
+                  has_inv ? "NAND(a,b)" : "INV(a)"));
   return lib;
 }
 

@@ -23,7 +23,9 @@ namespace cals {
 /// Parses genlib text. Malformed input — wrong directive arity, bad numbers,
 /// duplicate cells, ALT before any CELL, unparsable pattern expressions,
 /// nonsensical TECH constants — yields a `Status` with line provenance
-/// instead of aborting. The file variant annotates the status with the path.
+/// instead of aborting. So does a library that cannot cover every base gate
+/// (no bare INV(a) or no bare NAND(a,b) pattern), without a line. The file
+/// variant annotates the status with the path.
 Result<Library> parse_genlib(std::istream& in);
 Result<Library> parse_genlib_string(const std::string& text);
 Result<Library> parse_genlib_file(const std::string& path);

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 
 #include "util/check.hpp"
@@ -44,7 +45,8 @@ inline std::uint64_t overflow_contribution(double usage, double capacity) {
 ///     (append-only lists, stale entries filtered by the same
 ///     overflow-at-visit predicate the full scan applied), and candidates
 ///     are processed in ascending (net, segment) order from a heap so the
-///     reroute sequence is unchanged.
+///     reroute sequence is unchanged. Each edge's list is swept at most
+///     once per round: a second sweep could enqueue nothing.
 ///  3. Allocation pooling: the maze heap, backtrack scratch and path buffers
 ///     live for the whole route() call; per-iteration edge-cost caches turn
 ///     each maze relaxation into a single load.
@@ -81,6 +83,7 @@ class RouterCore {
     over_flag_.assign(edges, 0);
     over_listed_.assign(edges, 0);
     cross_.resize(edges);
+    edge_stamp_.assign(edges, 0);
     seg_stamp_.assign(segments_.size(), 0);
     // Pattern prefix sums: every row/column starts dirty and is built on
     // first use. The h prefix for row y lives at [y*nx_, (y+1)*nx_), entry i
@@ -164,8 +167,9 @@ class RouterCore {
         seg_paths_[s].assign(reroute_path_.begin(), reroute_path_.end());
       }
       pending_segs_.clear();
-      // Commits above enqueue crossers under the previous round's marker;
-      // the next round's over_list_ sweep re-seeds the heap from scratch, so
+      // Commits above enqueue crossers under the previous round's marker
+      // (ascending ids, so each edge is swept at most once here too); the
+      // next round's over_list_ sweep re-seeds the heap from scratch, so
       // drop them rather than draining candidates twice.
       cand_heap_.clear();
     }
@@ -296,7 +300,15 @@ class RouterCore {
   /// entries; the per-iteration stamp dedupes and the overflow-at-visit
   /// predicate filters the rest — extra candidates are exactly the segments
   /// the full scan would have checked and skipped.
+  ///
+  /// Sweeps each edge at most once per round (DESIGN.md §7, invariant (d)).
+  /// Within a round `after` never decreases — the drain pops ascending ids
+  /// and commits only the id it popped — so every entry appended since the
+  /// edge's last sweep is at most the current `after`, and every older entry
+  /// above it was stamped by that sweep: a second sweep enqueues nothing.
   void enqueue_crossers(std::size_t cid, std::int64_t after) {
+    if (edge_stamp_[cid] == iter_marker_) return;
+    edge_stamp_[cid] = iter_marker_;
     for (std::uint32_t seg : cross_[cid]) {
       if (static_cast<std::int64_t>(seg) <= after) continue;
       if (seg_stamp_[seg] == iter_marker_) continue;
@@ -571,9 +583,9 @@ class RouterCore {
 
   /// Heap entry: non-negative IEEE doubles compare like their bit patterns,
   /// and (y<<16)|x orders exactly like the row-major cell index, so the
-  /// (distance, then cell index) tie-break is two integer compares. Entries
-  /// are unique — a cell is only re-pushed with a strictly smaller distance —
-  /// so any heap pops the identical sequence.
+  /// (distance, then cell index) order is one compare of the 96-bit key
+  /// dist_bits:yx. Entries are unique — a cell is only re-pushed with a
+  /// strictly smaller distance — so any heap pops the identical sequence.
   struct MazeEntry {
     std::uint64_t dist_bits;
     std::uint32_t yx;
@@ -581,7 +593,8 @@ class RouterCore {
   };
 
   static bool entry_less(const MazeEntry& a, const MazeEntry& b) {
-    return a.dist_bits != b.dist_bits ? a.dist_bits < b.dist_bits : a.yx < b.yx;
+    return (static_cast<unsigned __int128>(a.dist_bits) << 32 | a.yx) <
+           (static_cast<unsigned __int128>(b.dist_bits) << 32 | b.yx);
   }
 
   static void heap_push(std::vector<MazeEntry>& heap, MazeEntry e) {
@@ -672,6 +685,8 @@ class RouterCore {
     const double* h_cost = h_cost_.data();
     const double* v_cost = v_cost_.data();
     std::uint64_t pops = 0;  // register-local; published once at the end
+    // f above `bound` is never popped: infinite until the target has a label.
+    double bound = std::numeric_limits<double>::infinity();
     while (!s.heap.empty()) {
       if (s.stamp[target] == s.generation) {
         // Drain until nothing in the queue can still carry f at or below the
@@ -681,8 +696,8 @@ class RouterCore {
         // so exactly the label-correcting frontier Dijkstra would have
         // settled before popping the target is drained — no more.
         const double dt = s.dist[target];
-        if (std::bit_cast<double>(s.heap.front().dist_bits) > dt + (dt * 0x1p-30 + 0x1p-30))
-          break;
+        bound = dt + (dt * 0x1p-30 + 0x1p-30);
+        if (std::bit_cast<double>(s.heap.front().dist_bits) > bound) break;
       }
       const MazeEntry top = heap_pop(s.heap);
       ++pops;
@@ -693,13 +708,19 @@ class RouterCore {
       const double d = s.dist[u];
       if (std::bit_cast<double>(top.dist_bits) > d + hu) continue;  // stale entry
 
+      // The label always updates (the backtrack reads labels), but an entry
+      // whose f already exceeds the bound is never pushed: dt only falls, so
+      // the bound does too, and the drain above would stop at that entry
+      // before popping it. The popped sequence is unchanged.
       const auto relax = [&](std::int32_t v, std::uint32_t vyx, double w, double hv) {
         const double nd = d + w;
         if (s.stamp[v] != s.generation || nd < s.dist[v]) {
           s.stamp[v] = s.generation;
           s.dist[v] = nd;
-          heap_push(s.heap,
-                    {std::bit_cast<std::uint64_t>(nd + hv), vyx, static_cast<std::uint32_t>(v)});
+          const double f = nd + hv;
+          if (f <= bound)
+            heap_push(s.heap,
+                      {std::bit_cast<std::uint64_t>(f), vyx, static_cast<std::uint32_t>(v)});
         }
       };
       const double h_left = static_cast<double>(std::abs(ux - 1 - dst.x) + std::abs(uy - dst.y));
@@ -804,6 +825,7 @@ class RouterCore {
   // Dirty-set machinery.
   std::vector<std::vector<std::uint32_t>> cross_;  ///< edge -> crossing segments (append-only)
   std::vector<std::uint32_t> seg_stamp_;           ///< per-iteration enqueue dedupe
+  std::vector<std::uint32_t> edge_stamp_;          ///< round of each edge's last sweep
   std::vector<std::uint32_t> cand_heap_;           ///< min-heap of candidate segment ids
   std::uint32_t iter_marker_ = 0;
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "netlist/base_network.hpp"
+#include "util/strings.hpp"
 
 namespace cals {
 namespace {
@@ -80,7 +81,7 @@ TEST(BaseNetwork, DerivedOperators) {
 TEST(BaseNetwork, BalancedTreesShareViaStrash) {
   BaseNetwork net;
   std::vector<NodeId> ins;
-  for (int i = 0; i < 4; ++i) ins.push_back(net.add_pi("i" + std::to_string(i)));
+  for (int i = 0; i < 4; ++i) ins.push_back(net.add_pi(strprintf("i%d", i)));
   const NodeId t1 = net.add_and(ins);
   const std::uint32_t gates_before = net.num_base_gates();
   const NodeId t2 = net.add_and(ins);  // identical tree: fully shared

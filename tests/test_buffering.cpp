@@ -6,6 +6,7 @@
 #include "map/mapper.hpp"
 #include "netlist/sim.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 #include "workloads/plagen.hpp"
 
 namespace cals {
@@ -20,7 +21,7 @@ MappedNetlist star(const Library& lib, std::uint32_t n) {
   for (std::uint32_t i = 0; i < n; ++i) {
     const Signal g = netlist.add_instance(lib.cell_id("NAND2"), {hub, b},
                                           {static_cast<double>(i), 5.0});
-    netlist.add_po("o" + std::to_string(i), g);
+    netlist.add_po(strprintf("o%u", i), g);
   }
   return netlist;
 }
@@ -87,7 +88,7 @@ TEST(Buffering, BuffersPlacedNearTheirSinkClusters) {
   for (int i = 0; i < 6; ++i) {
     const double x = i < 3 ? 0.0 + i : 100.0 + i;
     const Signal g = netlist.add_instance(lib.cell_id("NAND2"), {hub, b}, {x, 0.0});
-    netlist.add_po("o" + std::to_string(i), g);
+    netlist.add_po(strprintf("o%d", i), g);
   }
   BufferingOptions options;
   options.max_fanout = 3;
@@ -115,7 +116,7 @@ TEST(Buffering, HandlesPiFanoutAndConstantPos) {
   for (int i = 0; i < 20; ++i) {
     const Signal g =
         netlist.add_instance(lib.cell_id("INV"), {a}, {static_cast<double>(i), 0.0});
-    netlist.add_po("o" + std::to_string(i), g);
+    netlist.add_po(strprintf("o%d", i), g);
   }
   netlist.add_po("tied", Signal::const0());
   BufferingOptions options;

@@ -15,6 +15,7 @@
 #include "place/legalize.hpp"
 #include "rcm/rcm.hpp"
 #include "route/router.hpp"
+#include "util/fnv.hpp"
 #include "workloads/presets.hpp"
 
 namespace cals {
@@ -125,6 +126,83 @@ TEST(Rcm, RemovesOverflowOnCongestedPreset) {
             repaired.stats.overflow_before);
   EXPECT_EQ(repaired.stats.passes.back().overflow_after,
             repaired.stats.overflow_after);
+}
+
+// ---- golden repair session ---------------------------------------------------
+// Pins one whole incremental session (run(), then invalidate_nets +
+// reroute_dirty per repair pass): the routed paths by digest, the totals,
+// every rip-up round's counters and every pass's telemetry. The one-shot
+// equivalence tests never reach invalidate_nets/reroute_dirty, so any change
+// to the session's candidate order, its reroutes or its counters shows here.
+
+std::uint64_t path_digest(const RouteResult& route) {
+  Fnv64 h;
+  for (const RoutedNet& net : route.nets) {
+    const std::uint64_t paths = net.paths.size();
+    h.update(&paths, sizeof(paths));
+    for (const std::vector<GCell>& path : net.paths) {
+      const std::uint64_t cells = path.size();
+      h.update(&cells, sizeof(cells));
+      h.update(path.data(), path.size() * sizeof(GCell));
+    }
+  }
+  return h.digest();
+}
+
+TEST(Rcm, RepairSessionGolden) {
+  rcm::RepairOptions options;
+  options.passes = 3;
+  const RepairOutcome repaired = run_repair(options);
+  const RouteResult& route = repaired.route;
+
+  EXPECT_EQ(path_digest(route), 0x958b2059d1169d85ull);
+  EXPECT_EQ(route.total_overflow, 0u);
+  EXPECT_EQ(route.wirelength_gcells, 19361u);
+  EXPECT_EQ(route.rrr_iterations, 24u);
+
+  struct Iter {
+    std::uint64_t overflow;
+    std::uint32_t dirty_edges, candidates, rerouted;
+    std::uint64_t maze_pops;
+  };
+  // run()'s 12 rounds, then each repair pass's reroute_dirty rounds.
+  const std::vector<Iter> iters = {
+      {922, 255, 1772, 1361, 88653}, {213, 171, 1415, 1042, 81858},
+      {134, 123, 1173, 853, 78991},  {98, 90, 1072, 730, 74995},
+      {78, 75, 962, 659, 79766},     {73, 70, 920, 651, 88588},
+      {70, 69, 887, 636, 94796},     {56, 55, 810, 605, 93752},
+      {54, 53, 766, 592, 98761},     {53, 52, 765, 593, 98510},
+      {53, 52, 797, 584, 105459},    {53, 52, 794, 595, 110842},
+      {313, 229, 2676, 941, 196504}, {72, 71, 1802, 539, 98573},
+      {25, 25, 936, 272, 49676},     {15, 15, 752, 212, 41153},
+      {11, 11, 648, 144, 28822},     {6, 6, 422, 103, 24720},
+      {5, 5, 316, 104, 21511},       {5, 5, 356, 88, 17540},
+      {94, 85, 2593, 434, 85987},    {14, 14, 959, 92, 19878},
+      {3, 3, 257, 53, 11916},        {3, 3, 253, 32, 7591},
+  };
+  ASSERT_EQ(route.iter_stats.size(), iters.size());
+  for (std::size_t i = 0; i < iters.size(); ++i) {
+    const RouteIterStats& got = route.iter_stats[i];
+    EXPECT_EQ(got.overflow, iters[i].overflow) << "round " << i;
+    EXPECT_EQ(got.dirty_edges, iters[i].dirty_edges) << "round " << i;
+    EXPECT_EQ(got.candidates, iters[i].candidates) << "round " << i;
+    EXPECT_EQ(got.rerouted, iters[i].rerouted) << "round " << i;
+    EXPECT_EQ(got.maze_pops, iters[i].maze_pops) << "round " << i;
+  }
+
+  const std::vector<rcm::RepairPassStats> passes = {
+      {51, 5, 58, 672, false},
+      {5, 0, 19, 386, false},
+  };
+  ASSERT_EQ(repaired.stats.passes.size(), passes.size());
+  for (std::size_t p = 0; p < passes.size(); ++p) {
+    const rcm::RepairPassStats& got = repaired.stats.passes[p];
+    EXPECT_EQ(got.overflow_before, passes[p].overflow_before) << "pass " << p;
+    EXPECT_EQ(got.overflow_after, passes[p].overflow_after) << "pass " << p;
+    EXPECT_EQ(got.cells_moved, passes[p].cells_moved) << "pass " << p;
+    EXPECT_EQ(got.nets_rerouted, passes[p].nets_rerouted) << "pass " << p;
+    EXPECT_EQ(got.reverted, passes[p].reverted) << "pass " << p;
+  }
 }
 
 TEST(Rcm, RepairedPlacementStaysLegal) {

@@ -366,6 +366,15 @@ TEST(RouteGolden, SplaLikeCongested) {
   EXPECT_EQ(result.wirelength_gcells, 17908u);
   EXPECT_EQ(result.rrr_iterations, 12u);
   EXPECT_NEAR(result.wirelength_um, 114611.2, 1e-6);
+  // The work the negotiation spent: candidates examined and A* pops.
+  std::uint64_t candidates = 0;
+  std::uint64_t maze_pops = 0;
+  for (const RouteIterStats& it : result.iter_stats) {
+    candidates += it.candidates;
+    maze_pops += it.maze_pops;
+  }
+  EXPECT_EQ(candidates, 7374u);
+  EXPECT_EQ(maze_pops, 329905u);
 }
 
 }  // namespace

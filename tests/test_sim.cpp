@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "netlist/sim.hpp"
+#include "util/strings.hpp"
 
 namespace cals {
 namespace {
@@ -33,7 +34,7 @@ TEST(Sim, WideAndOr) {
   std::uint64_t expect_and = ~0ULL;
   std::uint64_t expect_or = 0;
   for (int i = 0; i < 7; ++i) {
-    ins.push_back(net.add_pi("i" + std::to_string(i)));
+    ins.push_back(net.add_pi(strprintf("i%d", i)));
     const std::uint64_t w = 0x123456789abcdef0ULL * (i + 1) + i;
     words.push_back(w);
     expect_and &= w;

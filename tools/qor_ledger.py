@@ -2,25 +2,35 @@
 """QoR drift ledger (DESIGN.md §13): append-only JSONL history of quality-
 of-results figures, with a drift check against the committed baseline.
 
-Rows come from flight records (spool/flights/*.flight.json, see
-src/svc/flight.hpp): the per-job QoR figures — cells, area, wirelength,
-violations, critical path, rows. Keyed by the job's name, so CI submits with
-stable --name. Older "bench" rows (from retired BENCH_*.json tables) stay in
-the file as history; nothing checks them.
+Rows come from two inputs:
+  * flight records (spool/flights/*.flight.json, see src/svc/flight.hpp):
+    the per-job QoR figures — cells, area, wirelength, violations, critical
+    path, rows. Keyed by the job's name, so CI submits with stable --name.
+  * traced benchmark runs (the stdout of `perfbench/run.py --workload W
+    --seed N --trace 1`): the per-layer work counters the run lists on its
+    `# deterministic counters` line, with their values from its final JSON
+    line. Keyed `perfbench:<W>-seed<N>`.
+Older "bench" rows (from retired BENCH_*.json tables) stay in the file as
+history; nothing checks them.
 
-Each ledger row:  {"source": ..., "kind": "flight"|"bench", "metrics": {...}}
+Each ledger row:  {"source": ..., "kind": "flight"|"perfbench"|"bench",
+                   "metrics": {...}}
 New rows for a source supersede old ones (the history stays in the file).
 
 `check` compares fresh inputs against each source's latest ledger row:
   * QoR metrics must match to --rel-tol (default 1e-6 — the repo's
     determinism contract makes QoR bit-identical across machines and thread
     counts, so any real drift is a synthesis change, not noise);
-  * perf metrics (names matching ms / seconds / wall / jobs_per_s / speedup
-    / _us) are machine-dependent and are reported but never enforced.
+  * perfbench counters must match exactly: they count work, and a single
+    extra maze pop in millions is a behavior change that a relative
+    tolerance would hide;
+  * perf metrics of flight rows (names matching ms / seconds / wall /
+    jobs_per_s / speedup / _us) are machine-dependent and are reported but
+    never enforced.
 
 Usage:
-    qor_ledger.py append --ledger QOR_LEDGER.jsonl --flight F...
-    qor_ledger.py check  --ledger QOR_LEDGER.jsonl --flight F...
+    qor_ledger.py append --ledger QOR_LEDGER.jsonl [--flight F...] [--perfbench P...]
+    qor_ledger.py check  --ledger QOR_LEDGER.jsonl [--flight F...] [--perfbench P...]
                          [--rel-tol 1e-6] [--allow-new]
 
 Exit 0 when every checked metric is within tolerance (or on append), 1 on
@@ -78,10 +88,45 @@ def row_from_flight(path: str) -> dict:
     return {"source": f"flight:{name}", "kind": "flight", "metrics": metrics}
 
 
+COUNTERS_NOTE = "# deterministic counters"
+SPANS_NOTE = re.compile(r"^# spans: (?:.*/)?(\w+)-seed(\d+)\.trace\.json$")
+
+
+def row_from_perfbench(path: str) -> dict:
+    try:
+        with open(path) as f:
+            lines = [line.rstrip("\n") for line in f if line.strip()]
+    except OSError as e:
+        fail(f"{path}: {e}")
+    names = source = None
+    for line in lines:
+        if line.startswith(COUNTERS_NOTE):
+            names = line.split(":", 1)[1].split()
+        elif SPANS_NOTE.match(line):
+            workload, seed = SPANS_NOTE.match(line).groups()
+            source = f"perfbench:{workload}-seed{seed}"
+    if names is None or source is None:
+        fail(f"{path}: not the output of a traced perfbench run "
+             f"(needs the '{COUNTERS_NOTE}' and '# spans:' lines)")
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError) as e:
+        fail(f"{path}: last line is not the result JSON: {e}")
+    if not result.get("correct"):
+        fail(f"{path}: the run failed its correctness checks")
+    values = result.get("metrics", {})
+    missing = [name for name in names if name not in values]
+    if missing:
+        fail(f"{path}: result lacks counters {', '.join(missing)}")
+    metrics = {name: float(values[name]["value"]) for name in names}
+    return {"source": source, "kind": "perfbench", "metrics": metrics}
+
+
 def collect_rows(args) -> list:
     rows = [row_from_flight(p) for p in args.flight]
+    rows += [row_from_perfbench(p) for p in args.perfbench]
     if not rows:
-        fail("nothing to process: give --flight inputs")
+        fail("nothing to process: give --flight or --perfbench inputs")
     return rows
 
 
@@ -131,19 +176,20 @@ def cmd_check(args) -> None:
             if name not in base["metrics"]:
                 continue  # schema growth: new metrics start untracked
             expected = float(base["metrics"][name])
-            if is_perf_metric(name):
+            if row["kind"] == "flight" and is_perf_metric(name):
                 continue  # machine-dependent: recorded, never enforced
             checked += 1
+            tol = 0.0 if row["kind"] == "perfbench" else args.rel_tol
             scale = max(abs(expected), abs(value), 1e-30)
-            if abs(value - expected) / scale > args.rel_tol:
+            if abs(value - expected) / scale > tol:
                 drifted += 1
                 print(f"qor_ledger: DRIFT {row['source']} {name}: "
                       f"{expected:.17g} -> {value:.17g}", file=sys.stderr)
     if drifted:
-        fail(f"{drifted} metric(s) drifted beyond rel-tol {args.rel_tol:g} "
-             f"({checked} checked)")
-    print(f"qor_ledger: OK: {checked} QoR metric(s) within rel-tol "
-          f"{args.rel_tol:g} across {len(rows)} source(s)")
+        fail(f"{drifted} metric(s) drifted ({checked} checked; QoR rel-tol "
+             f"{args.rel_tol:g}, perfbench counters exact)")
+    print(f"qor_ledger: OK: {checked} metric(s) match (QoR within rel-tol "
+          f"{args.rel_tol:g}, perfbench counters exactly) across {len(rows)} source(s)")
 
 
 def main() -> None:
@@ -154,6 +200,8 @@ def main() -> None:
         p.add_argument("--ledger", required=True)
         p.add_argument("--flight", nargs="*", default=[],
                        help="flight record JSON files")
+        p.add_argument("--perfbench", nargs="*", default=[],
+                       help="stdout files of traced perfbench runs")
         p.set_defaults(func=func)
         if name == "check":
             p.add_argument("--rel-tol", type=float, default=1e-6)
