@@ -581,50 +581,60 @@ class RouterCore {
 
   // ---- maze ---------------------------------------------------------------
 
-  /// Heap entry: non-negative IEEE doubles compare like their bit patterns,
-  /// and (y<<16)|x orders exactly like the row-major cell index, so the
-  /// (distance, then cell index) order is one compare of the 96-bit key
-  /// dist_bits:yx. Entries are unique — a cell is only re-pushed with a
-  /// strictly smaller distance — so any heap pops the identical sequence.
-  struct MazeEntry {
-    std::uint64_t dist_bits;
-    std::uint32_t yx;
-    std::uint32_t cell;
-  };
+  /// Heap key: non-negative IEEE doubles compare like their bit patterns,
+  /// and (y<<16)|x orders exactly like the row-major cell index, so one
+  /// integer compare of f_bits:yx orders entries by (f, cell index). A cell
+  /// is only re-pushed with a strictly smaller distance, so two keys in the
+  /// heap are either distinct or identical copies, and any heap pops the
+  /// identical key sequence. The cell index is rederived from yx on pop.
+  using MazeKey = unsigned __int128;
 
-  static bool entry_less(const MazeEntry& a, const MazeEntry& b) {
-    return (static_cast<unsigned __int128>(a.dist_bits) << 32 | a.yx) <
-           (static_cast<unsigned __int128>(b.dist_bits) << 32 | b.yx);
+  static MazeKey maze_key(double f, std::uint32_t yx) {
+    return static_cast<MazeKey>(std::bit_cast<std::uint64_t>(f)) << 32 | yx;
+  }
+  static double key_f(MazeKey key) {
+    return std::bit_cast<double>(static_cast<std::uint64_t>(key >> 32));
   }
 
-  static void heap_push(std::vector<MazeEntry>& heap, MazeEntry e) {
-    heap.push_back(e);
-    std::size_t i = heap.size() - 1;
+  /// 4-ary min-heap. Both sifts move a hole rather than swapping, so the
+  /// moving key stays in registers and each level costs one store.
+  static void heap_push(std::vector<MazeKey>& heap, MazeKey key) {
+    std::size_t i = heap.size();
+    heap.push_back(key);
+    MazeKey* h = heap.data();
     while (i > 0) {
       const std::size_t parent = (i - 1) / 4;
-      if (!entry_less(heap[i], heap[parent])) break;
-      std::swap(heap[i], heap[parent]);
+      if (!(key < h[parent])) break;
+      h[i] = h[parent];
       i = parent;
     }
+    h[i] = key;
   }
 
-  static MazeEntry heap_pop(std::vector<MazeEntry>& heap) {
-    const MazeEntry top = heap.front();
-    heap.front() = heap.back();
+  static MazeKey heap_pop(std::vector<MazeKey>& heap) {
+    const MazeKey top = heap.front();
+    const MazeKey key = heap.back();
     heap.pop_back();
     const std::size_t n = heap.size();
+    if (n == 0) return top;
+    MazeKey* h = heap.data();
     std::size_t i = 0;
     while (true) {
       const std::size_t first = 4 * i + 1;
       if (first >= n) break;
       const std::size_t last = std::min(first + 4, n);
       std::size_t best = first;
+      MazeKey least = h[first];
       for (std::size_t c = first + 1; c < last; ++c)
-        if (entry_less(heap[c], heap[best])) best = c;
-      if (!entry_less(heap[best], heap[i])) break;
-      std::swap(heap[i], heap[best]);
+        if (h[c] < least) {
+          best = c;
+          least = h[c];
+        }
+      if (!(least < key)) break;
+      h[i] = least;
       i = best;
     }
+    h[i] = key;
     return top;
   }
 
@@ -635,7 +645,7 @@ class RouterCore {
     std::vector<double> dist;
     std::vector<std::uint32_t> stamp;
     std::uint32_t generation = 0;
-    std::vector<MazeEntry> heap;
+    std::vector<MazeKey> heap;
     std::vector<std::int32_t> backtrack;
 
     explicit MazeScratch(std::size_t cells) : dist(cells, 0.0), stamp(cells, 0) {}
@@ -676,10 +686,8 @@ class RouterCore {
     s.dist[start] = 0.0;
     s.stamp[start] = s.generation;
     const double h0 = static_cast<double>(std::abs(src.x - dst.x) + std::abs(src.y - dst.y));
-    heap_push(s.heap,
-              {std::bit_cast<std::uint64_t>(h0),
-               static_cast<std::uint32_t>(src.y) << 16 | static_cast<std::uint32_t>(src.x),
-               static_cast<std::uint32_t>(start)});
+    heap_push(s.heap, maze_key(h0, static_cast<std::uint32_t>(src.y) << 16 |
+                                       static_cast<std::uint32_t>(src.x)));
 
     const std::int32_t target = dst.y * nx_ + dst.x;
     const double* h_cost = h_cost_.data();
@@ -697,16 +705,17 @@ class RouterCore {
         // settled before popping the target is drained — no more.
         const double dt = s.dist[target];
         bound = dt + (dt * 0x1p-30 + 0x1p-30);
-        if (std::bit_cast<double>(s.heap.front().dist_bits) > bound) break;
+        if (key_f(s.heap.front()) > bound) break;
       }
-      const MazeEntry top = heap_pop(s.heap);
+      const MazeKey top = heap_pop(s.heap);
       ++pops;
-      const std::int32_t u = static_cast<std::int32_t>(top.cell);
-      const std::int32_t ux = static_cast<std::int32_t>(top.yx & 0xffffu);
-      const std::int32_t uy = static_cast<std::int32_t>(top.yx >> 16);
+      const std::uint32_t yx = static_cast<std::uint32_t>(top);
+      const std::int32_t ux = static_cast<std::int32_t>(yx & 0xffffu);
+      const std::int32_t uy = static_cast<std::int32_t>(yx >> 16);
+      const std::int32_t u = uy * nx_ + ux;
       const double hu = static_cast<double>(std::abs(ux - dst.x) + std::abs(uy - dst.y));
       const double d = s.dist[u];
-      if (std::bit_cast<double>(top.dist_bits) > d + hu) continue;  // stale entry
+      if (key_f(top) > d + hu) continue;  // stale entry
 
       // The label always updates (the backtrack reads labels), but an entry
       // whose f already exceeds the bound is never pushed: dt only falls, so
@@ -718,19 +727,17 @@ class RouterCore {
           s.stamp[v] = s.generation;
           s.dist[v] = nd;
           const double f = nd + hv;
-          if (f <= bound)
-            heap_push(s.heap,
-                      {std::bit_cast<std::uint64_t>(f), vyx, static_cast<std::uint32_t>(v)});
+          if (f <= bound) heap_push(s.heap, maze_key(f, vyx));
         }
       };
       const double h_left = static_cast<double>(std::abs(ux - 1 - dst.x) + std::abs(uy - dst.y));
       const double h_right = static_cast<double>(std::abs(ux + 1 - dst.x) + std::abs(uy - dst.y));
       const double h_down = static_cast<double>(std::abs(ux - dst.x) + std::abs(uy - 1 - dst.y));
       const double h_up = static_cast<double>(std::abs(ux - dst.x) + std::abs(uy + 1 - dst.y));
-      if (ux > x_lo) relax(u - 1, top.yx - 1, h_cost[u - 1], h_left);
-      if (ux < x_hi) relax(u + 1, top.yx + 1, h_cost[u], h_right);
-      if (uy > y_lo) relax(u - nx_, top.yx - 0x10000u, v_cost[u - nx_], h_down);
-      if (uy < y_hi) relax(u + nx_, top.yx + 0x10000u, v_cost[u], h_up);
+      if (ux > x_lo) relax(u - 1, yx - 1, h_cost[u - 1], h_left);
+      if (ux < x_hi) relax(u + 1, yx + 1, h_cost[u], h_right);
+      if (uy > y_lo) relax(u - nx_, yx - 0x10000u, v_cost[u - nx_], h_down);
+      if (uy < y_hi) relax(u + nx_, yx + 0x10000u, v_cost[u], h_up);
     }
 
     maze_pops_ += pops;

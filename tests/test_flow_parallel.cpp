@@ -14,7 +14,7 @@
 namespace cals {
 namespace {
 
-constexpr double kScale = 0.1;  // ~2.3k base gates, same as bench/perf_core
+constexpr double kScale = 0.1;  // ~2.3k base gates
 
 const Library& test_library() {
   static const Library lib = lib::make_corelib();

@@ -257,7 +257,9 @@ RouteResult reference_route(RoutingGrid& grid, const PlaceGraph& graph,
 // ---- equivalence checks ---------------------------------------------------
 
 struct Fixture {
-  Floorplan fp{Floorplan::square_with_rows(10, TechParams{})};  // 64x64 um, 10x10 gcells
+  explicit Fixture(std::uint32_t rows) : fp(Floorplan::square_with_rows(rows, TechParams{})) {}
+
+  Floorplan fp;  // rows x rows gcells, 6.4 um each
   PlaceGraph graph;
   Placement placement;
 
@@ -291,26 +293,51 @@ void expect_identical(const RouteResult& opt, const RouteResult& ref) {
   EXPECT_EQ(diff_nets, 0u) << "nets with differing per-segment paths";
 }
 
-void run_equivalence(std::uint64_t seed, double capacity_scale) {
-  Fixture f;
+/// Routes `nets` random 3-pin nets over a rows x rows-gcell die with both
+/// routers, expects identical results and returns the optimized one.
+RouteResult run_equivalence(std::uint64_t seed, double capacity_scale, std::uint32_t rows = 10,
+                            int nets = 60, std::uint32_t max_rrr_iterations = 12) {
+  Fixture f(rows);
   Rng rng(seed);
+  const double span = 6.0 * rows;  // pins cover 15/16 of the die side
+  const int num_objs = nets * 5 / 6;  // 50 pin objects for 60 nets
   std::vector<std::uint32_t> objs;
-  for (int i = 0; i < 50; ++i) objs.push_back(f.pin(rng.uniform() * 60, rng.uniform() * 60));
-  for (int n = 0; n < 60; ++n)
-    f.net({objs[rng.below(50)], objs[rng.below(50)], objs[rng.below(50)]});
+  for (int i = 0; i < num_objs; ++i)
+    objs.push_back(f.pin(rng.uniform() * span, rng.uniform() * span));
+  for (int n = 0; n < nets; ++n)
+    f.net({objs[rng.below(num_objs)], objs[rng.below(num_objs)], objs[rng.below(num_objs)]});
   RGridOptions options;
   options.capacity_scale = capacity_scale;  // congested: heavy rip-up
+  RouteOptions route_options;
+  route_options.max_rrr_iterations = max_rrr_iterations;
   RoutingGrid g1(f.fp, options);
   RoutingGrid g2(f.fp, options);
-  const RouteResult opt = route(g1, f.graph, f.placement);
-  const RouteResult ref = reference_route(g2, f.graph, f.placement);
+  RouteResult opt = route(g1, f.graph, f.placement, route_options);
+  const RouteResult ref = reference_route(g2, f.graph, f.placement, route_options);
   EXPECT_GT(ref.rrr_iterations, 0u);  // the interesting phase must be exercised
   expect_identical(opt, ref);
+  return opt;
 }
 
 TEST(RouteEquivalence, CongestedRandomWorkload) { run_equivalence(11, 0.3); }
 
 TEST(RouteEquivalence, OverflowedRandomWorkload) { run_equivalence(7, 0.15); }
+
+// A 40x40-gcell die, congested for enough rounds that the maze box
+// (margin 8 + 2 per round) spans the die: searches pop hundreds of cells,
+// so the maze heap runs several levels deep with partial last levels.
+TEST(RouteEquivalence, DeepHeapsOnLargeCongestedDie) {
+  const RouteResult opt = run_equivalence(5, 0.3, 40, 200, 17);
+  EXPECT_EQ(opt.rrr_iterations, 17u);  // round 16's margin of 40 covers the die
+  std::uint64_t rerouted = 0;
+  std::uint64_t maze_pops = 0;
+  for (const RouteIterStats& it : opt.iter_stats) {
+    rerouted += it.rerouted;
+    maze_pops += it.maze_pops;
+  }
+  ASSERT_GT(rerouted, 0u);
+  EXPECT_GT(maze_pops / rerouted, 300u);
+}
 
 // ---- golden regression on the spla-like preset ----------------------------
 
