@@ -55,25 +55,7 @@ int main(int argc, char** argv) {
   Timer total;
   const DesignContext context(net, &lib, fp);
 
-  Table ours({"K (ours)", "K (paper row)", "Cell Area (um2)", "No. of Cells",
-              "Area Util %", "Routing violations", "Routed WL (um)", "sec",
-              "map/place/route/sta (s)"});
-  ours.set_caption("Measured (this reproduction; K_ours = 100 x K_paper):");
-  for (double paper_k : kPaperKGrid) {
-    const double k = paper_k * kKScale;
-    Timer t;
-    const FlowRun run = context.run(table_flow_options(k));
-    ours.add_row({strprintf("%g", k), strprintf("%g", paper_k),
-                  fmt_f(run.metrics.cell_area_um2, 0), fmt_i(run.metrics.num_cells),
-                  fmt_f(run.metrics.utilization_pct, 2),
-                  fmt_i(static_cast<long long>(run.metrics.routing_violations)),
-                  fmt_f(run.metrics.wirelength_um, 0), fmt_f(t.seconds(), 1),
-                  fmt_phase_seconds(run.metrics)});
-    std::printf("  K=%-6g done: %6llu violations, util %.2f%%\n", k,
-                static_cast<unsigned long long>(run.metrics.routing_violations),
-                run.metrics.utilization_pct);
-    std::fflush(stdout);
-  }
+  const Table ours = k_grid_table(context);
   std::printf("\n");
   print_table(ours);
   std::printf("total: %.1fs\n", total.seconds());

@@ -2,77 +2,18 @@
 
 #include <algorithm>
 #include <mutex>
+#include <optional>
 
 #include "util/check.hpp"
 #include "util/faults.hpp"
 #include "util/log.hpp"
 #include "util/obs.hpp"
 #include "util/strings.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace cals {
 namespace {
-
-/// Library-wide ledger of run_impl() calls in progress and the worker
-/// threads they have claimed, so num_threads=0 resolves to a fair share
-/// instead of hardware_concurrency per caller (the J-jobs-x-T-threads
-/// oversubscription fix; see recommended_threads). One mutex guards both
-/// counts: registration and share resolution are a single atomic step, so
-/// two flows racing into run() can never both observe "1 flow in flight"
-/// and claim the whole machine each — the historical handoff
-/// oversubscription recommended_threads() alone could not prevent.
-struct ThreadLedger {
-  std::mutex mutex;
-  std::uint32_t flows = 0;    // run_impl() calls in progress
-  std::uint32_t claimed = 0;  // workers claimed by num_threads=0 resolutions
-};
-
-ThreadLedger& thread_ledger() {
-  static ThreadLedger ledger;
-  return ledger;
-}
-
-/// RAII registration of one flow evaluation. When the flow's num_threads is
-/// 0, its worker share is resolved here, under the ledger lock: the fair
-/// share hardware/flows, capped by what the budget has left. A lone flow
-/// still gets the whole machine; late arrivals into a fully-claimed budget
-/// get the floor of 1 worker (run serially) instead of hardware_concurrency
-/// each. Explicit num_threads values pass through unclaimed, exactly as
-/// before.
-struct FlowInFlight {
-  std::uint32_t claim = 0;
-
-  explicit FlowInFlight(std::uint32_t num_threads) {
-    ThreadLedger& ledger = thread_ledger();
-    std::lock_guard<std::mutex> lock(ledger.mutex);
-    ++ledger.flows;
-    if (num_threads == 0) {
-      const std::uint32_t hw = ThreadPool::hardware_threads();
-      const std::uint32_t fair = std::max(1u, hw / ledger.flows);
-      const std::uint32_t avail = hw > ledger.claimed ? hw - ledger.claimed : 0u;
-      claim = std::max(1u, std::min(fair, avail));
-      ledger.claimed += claim;
-    }
-  }
-  ~FlowInFlight() {
-    ThreadLedger& ledger = thread_ledger();
-    std::lock_guard<std::mutex> lock(ledger.mutex);
-    --ledger.flows;
-    ledger.claimed -= claim;
-  }
-  /// The resolved worker count for this evaluation.
-  std::uint32_t resolved(std::uint32_t num_threads) const {
-    return num_threads != 0 ? num_threads : claim;
-  }
-};
-
-/// FlowOptions::num_threads -> actual worker count for callers outside a
-/// flow evaluation (sweep drivers sizing their speculation window): explicit
-/// values pass through, 0 becomes this process's fair share right now.
-std::uint32_t resolve_num_threads(std::uint32_t num_threads) {
-  if (num_threads != 0) return num_threads;
-  return recommended_threads(std::max(1u, flows_in_flight()));
-}
 
 /// Fills the metric fields derivable from the phases finished so far, so
 /// budget-stopped partial runs still report consistent numbers. A finished
@@ -171,12 +112,6 @@ FlowResult guarded(const FlowOptions& options, Evaluate&& evaluate) {
 
 }  // namespace
 
-std::uint32_t flows_in_flight() {
-  ThreadLedger& ledger = thread_ledger();
-  std::lock_guard<std::mutex> lock(ledger.mutex);
-  return ledger.flows;
-}
-
 const char* flow_phase_name(FlowPhase phase) {
   switch (phase) {
     case FlowPhase::kMap: return "map";
@@ -225,32 +160,20 @@ void DesignContext::seed_match_database(std::shared_ptr<const MatchDatabase> db)
   match_dbs_[key] = std::move(db);
 }
 
-ThreadPool* DesignContext::pool(std::uint32_t num_threads) const {
-  const std::uint32_t resolved = resolve_num_threads(num_threads);
-  if (resolved <= 1) return nullptr;
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!pool_) pool_ = std::make_unique<ThreadPool>(resolved);
-  return pool_.get();
-}
-
 std::shared_ptr<const MatchDatabase> DesignContext::match_database(
-    PartitionStrategy partition, DistanceMetric metric, ThreadPool* pool) const {
+    PartitionStrategy partition, DistanceMetric metric) const {
   const auto key = std::make_pair(static_cast<int>(partition), static_cast<int>(metric));
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = match_dbs_.find(key);
-    if (it != match_dbs_.end()) {
-      CALS_OBS_COUNT("map.match_cache_hits", 1);
-      return it->second;
-    }
+  // Built under the lock: concurrent first calls (the first window of a
+  // sweep) wait for one build instead of each building their own.
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = match_dbs_.find(key);
+  if (it != match_dbs_.end()) {
+    CALS_OBS_COUNT("map.match_cache_hits", 1);
+    return it->second;
   }
   CALS_OBS_COUNT("map.match_cache_misses", 1);
-  // Build outside the lock so a pool-parallel build never serializes other
-  // evaluations. Concurrent first calls may build twice; the results are
-  // identical (everything is deterministic) and the first insert wins.
   auto db = std::make_shared<const MatchDatabase>(
-      build_match_database(net_, *library_, node_positions_, partition, metric, pool));
-  std::lock_guard<std::mutex> lock(mutex_);
+      build_match_database(net_, *library_, node_positions_, partition, metric));
   return match_dbs_.emplace(key, std::move(db)).first->second;
 }
 
@@ -274,18 +197,10 @@ FlowResult DesignContext::implement(MapResult mapped, const FlowOptions& options
 }
 
 FlowRun DesignContext::run_impl(const FlowOptions& options, FlowResult* checked) const {
-  const FlowInFlight in_flight(options.num_threads);
   CALS_TRACE_SCOPE_ARG("flow.run", "K", options.K);
   CALS_OBS_COUNT("flow.runs", 1);
   FlowRun run;
   Timer timer;
-
-  // The run's worker pool for the mapper's match enumeration; covering,
-  // placement and routing run serially. The share for num_threads=0 was
-  // claimed by in_flight under the ledger lock; nullptr means pure serial.
-  const std::uint32_t num_workers = in_flight.resolved(options.num_threads);
-  ThreadPool* pool = num_workers <= 1 ? nullptr : this->pool(num_workers);
-  run.metrics.threads_used = pool != nullptr ? pool->num_workers() : 1;
 
   // ---- technology mapping ------------------------------------------------
   {
@@ -299,7 +214,7 @@ FlowRun DesignContext::run_impl(const FlowOptions& options, FlowResult* checked)
     cover_options.transitive_wire_cost = options.transitive_wire_cost;
     cover_options.cancel = options.cancel;
     const std::shared_ptr<const MatchDatabase> db =
-        match_database(options.partition, options.metric, pool);
+        match_database(options.partition, options.metric);
     run.map = map_network_cached(net_, *library_, node_positions_, *db, cover_options);
   }
   run.metrics.map_seconds = timer.seconds();
@@ -420,6 +335,31 @@ void DesignContext::implement_phases(FlowRun& run, const FlowOptions& options,
   fill_metrics(run, options, floorplan_, kNumFlowPhases);
 }
 
+void sweep_evaluations(std::size_t count, std::uint32_t width,
+                       const std::function<FlowResult(std::size_t)>& evaluate,
+                       const std::function<bool(std::size_t, FlowResult&)>& take) {
+  const std::size_t window =
+      std::min<std::size_t>(count, width == 0 ? ThreadPool::hardware_threads() : width);
+  std::optional<ThreadPool> pool;
+  if (window > 1) pool.emplace(static_cast<std::uint32_t>(window));
+  std::vector<FlowResult> results(window);
+  for (std::size_t begin = 0; begin < count; begin += window) {
+    const std::size_t end = std::min(count, begin + window);
+    if (end - begin == 1) {
+      results[0] = evaluate(begin);
+    } else {
+      ThreadPool::TaskGroup group(*pool);
+      for (std::size_t i = begin; i < end; ++i)
+        group.run([&evaluate, &results, begin, i] { results[i - begin] = evaluate(i); });
+      group.wait();
+    }
+    for (std::size_t i = begin; i < end; ++i) {
+      if (!take(i, results[i - begin])) return;
+      results[i - begin] = {};  // free it before the next window runs
+    }
+  }
+}
+
 FlowIterationResult congestion_aware_flow(const DesignContext& context,
                                           const std::vector<double>& k_schedule,
                                           FlowOptions options) {
@@ -427,71 +367,39 @@ FlowIterationResult congestion_aware_flow(const DesignContext& context,
   CALS_TRACE_SCOPE("flow.k_schedule");
   FlowIterationResult result;
   std::uint64_t best_violations = UINT64_MAX;
-
-  ThreadPool* pool = context.pool(options.num_threads);
-  const std::size_t window =
-      pool == nullptr ? 1 : resolve_num_threads(options.num_threads);
-  if (pool != nullptr && k_schedule.size() > 1) {
-    // Warm the match cache up front so the K-independent build happens once,
-    // pool-parallel, instead of racing inside the first window.
-    context.match_database(options.partition, options.metric, pool);
-  }
-
-  std::vector<FlowResult> all(k_schedule.size());
-  std::size_t evaluated = 0;  // schedule points [0, evaluated) are in `all`
-
-  for (std::size_t i = 0; i < k_schedule.size(); ++i) {
-    if (i == evaluated) {
-      // Evaluate the next window of schedule points concurrently — at most
-      // `window` of them, as find_min_routable_rows chunks its row search —
-      // so a long schedule speculates one window past the convergence K
-      // instead of evaluating every point. The selection below replays the
-      // serial order, so the chosen run is identical.
-      const std::size_t end =
-          pool == nullptr ? i + 1 : std::min(k_schedule.size(), i + window);
-      if (end - i > 1) {
-        ThreadPool::TaskGroup group(*pool);
-        for (std::size_t j = i; j < end; ++j)
-          group.run([&context, &options, &k_schedule, &all, j] {
-            FlowOptions point = options;
-            point.K = k_schedule[j];
-            all[j] = context.run_checked(point);
-          });
-        group.wait();
-      } else {
+  sweep_evaluations(
+      k_schedule.size(), options.num_threads,
+      [&](std::size_t i) {
         FlowOptions point = options;
         point.K = k_schedule[i];
-        all[i] = context.run_checked(point);
-      }
-      evaluated = end;
-    }
-    const double k = k_schedule[i];
-    result.runs.push_back(std::move(all[i].run));
-    if (!all[i].status.ok()) {
-      // A guarded evaluation stopped early (budget / injected fault /
-      // captured exception): its partial artifacts close the run list and
-      // the iteration degrades instead of crashing.
-      result.status = all[i].status;
-      CALS_WARN("flow: K=%g evaluation stopped: %s", k,
-                result.status.to_string().c_str());
-      return result;
-    }
-    const FlowRun& run = result.runs.back();
-    CALS_INFO("flow: K=%g cells=%u area=%.0f violations=%llu", k,
-              run.metrics.num_cells, run.metrics.cell_area_um2,
-              static_cast<unsigned long long>(run.metrics.routing_violations));
-    CALS_OBS_COUNT("flow.k_iterations", 1);
-    CALS_TRACE_COUNTER("flow.violations", run.metrics.routing_violations);
-    if (run.metrics.routing_violations < best_violations) {
-      best_violations = run.metrics.routing_violations;
-      result.chosen = result.runs.size() - 1;
-    }
-    if (run.metrics.routing_violations == 0) {
-      result.converged = true;
-      break;
-    }
-  }
-  if (!result.converged && !result.runs.empty()) {
+        return context.run_checked(point);
+      },
+      [&](std::size_t i, FlowResult& evaluated) {
+        const double k = k_schedule[i];
+        result.runs.push_back(std::move(evaluated.run));
+        if (!evaluated.status.ok()) {
+          // A guarded evaluation stopped early (budget / injected fault /
+          // captured exception): its partial artifacts close the run list
+          // and the iteration degrades instead of crashing.
+          result.status = evaluated.status;
+          CALS_WARN("flow: K=%g evaluation stopped: %s", k,
+                    result.status.to_string().c_str());
+          return false;
+        }
+        const FlowRun& run = result.runs.back();
+        CALS_INFO("flow: K=%g cells=%u area=%.0f violations=%llu", k,
+                  run.metrics.num_cells, run.metrics.cell_area_um2,
+                  static_cast<unsigned long long>(run.metrics.routing_violations));
+        CALS_OBS_COUNT("flow.k_iterations", 1);
+        CALS_TRACE_COUNTER("flow.violations", run.metrics.routing_violations);
+        if (run.metrics.routing_violations < best_violations) {
+          best_violations = run.metrics.routing_violations;
+          result.chosen = result.runs.size() - 1;
+        }
+        result.converged = run.metrics.routing_violations == 0;
+        return !result.converged;
+      });
+  if (result.status.ok() && !result.converged) {
     const FlowMetrics& best = result.runs[result.chosen].metrics;
     result.status = Status::infeasible(
         strprintf("congestion_aware_flow: schedule exhausted without a routable "
@@ -538,57 +446,27 @@ RowSearchResult find_min_routable_rows(const BaseNetwork& net, const Library& li
                                        PlaceOptions place_options) {
   CALS_TRACE_SCOPE("flow.row_search");
   RowSearchResult result;
-  const std::uint32_t window = resolve_num_threads(options.num_threads);
-
-  if (window <= 1 || start_rows >= max_rows) {
-    for (std::uint32_t rows = start_rows; rows <= max_rows; ++rows) {
-      // The layout image is rebuilt per floorplan — the paper notes the
-      // absolute wire lengths (and so the K trade-off) change with die size.
-      DesignContext context(net, &library,
-                            Floorplan::square_with_rows(rows, library.tech()),
-                            place_options);
-      result.run = context.run(options);
-      result.rows = rows;
-      if (result.run.metrics.routing_violations == 0) {
-        result.found = true;
-        return result;
-      }
-    }
-    return result;
-  }
-
-  // Windowed speculative search: evaluate `window` candidate row counts
-  // concurrently (each with its own floorplan and context), then scan the
-  // window in order — the first routable row is the serial answer. Rows
-  // beyond it are wasted work, the price of the latency win.
-  ThreadPool pool(window);
-  FlowOptions inner = options;
-  inner.num_threads = 1;  // parallelism lives at the row level here
-  for (std::uint32_t window_start = start_rows; window_start <= max_rows;
-       window_start += window) {
-    const std::uint32_t window_end =
-        std::min(max_rows, window_start + window - 1);
-    std::vector<FlowRun> runs(window_end - window_start + 1);
-    {
-      ThreadPool::TaskGroup group(pool);
-      for (std::uint32_t rows = window_start; rows <= window_end; ++rows)
-        group.run([&net, &library, &inner, &place_options, &runs, rows, window_start] {
-          DesignContext context(net, &library,
-                                Floorplan::square_with_rows(rows, library.tech()),
-                                place_options);
-          runs[rows - window_start] = context.run(inner);
-        });
-      group.wait();
-    }
-    for (std::uint32_t rows = window_start; rows <= window_end; ++rows) {
-      result.run = std::move(runs[rows - window_start]);
-      result.rows = rows;
-      if (result.run.metrics.routing_violations == 0) {
-        result.found = true;
-        return result;
-      }
-    }
-  }
+  const std::size_t count =
+      start_rows <= max_rows ? std::size_t{max_rows} - start_rows + 1 : 0;
+  sweep_evaluations(
+      count, options.num_threads,
+      [&](std::size_t i) {
+        // The layout image is rebuilt per floorplan — the paper notes the
+        // absolute wire lengths (and so the K trade-off) change with die size.
+        const auto rows = static_cast<std::uint32_t>(start_rows + i);
+        const DesignContext context(net, &library,
+                                    Floorplan::square_with_rows(rows, library.tech()),
+                                    place_options);
+        FlowResult evaluated;
+        evaluated.run = context.run(options);
+        return evaluated;
+      },
+      [&](std::size_t i, FlowResult& evaluated) {
+        result.run = std::move(evaluated.run);
+        result.rows = static_cast<std::uint32_t>(start_rows + i);
+        result.found = result.run.metrics.routing_violations == 0;
+        return !result.found;
+      });
   return result;
 }
 

@@ -16,14 +16,16 @@
 /// K sweeps reuse and parallelize where work is independent (DESIGN.md §6):
 ///  * the K-independent matching front end (subject forest + per-vertex match
 ///    candidates) is memoized per {partition, metric} inside DesignContext;
-///  * match enumeration splits across a shared cals::ThreadPool;
-///  * congestion_aware_flow and find_min_routable_rows evaluate windows of K
-///    and row probes concurrently.
-/// Covering, placement and routing inside one evaluation are serial. Every
-/// FlowOptions::num_threads value produces the same covers, areas,
-/// wirelengths and critical paths as num_threads=1.
+///  * sweep_evaluations runs whole evaluations side by side: the K windows of
+///    congestion_aware_flow, the row windows of find_min_routable_rows and
+///    the paper's K-grid tables.
+/// One evaluation runs on its caller's thread. Every FlowOptions::num_threads
+/// value produces the same covers, areas, wirelengths and critical paths as
+/// num_threads=1.
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -41,7 +43,6 @@
 #include "route/router.hpp"
 #include "timing/sta.hpp"
 #include "util/status.hpp"
-#include "util/thread_pool.hpp"
 
 namespace cals {
 
@@ -67,12 +68,11 @@ struct FlowOptions {
   /// Detailed-placement refinement passes after legalization (0 = off, the
   /// paper's configuration; see place/refine.hpp).
   std::uint32_t refine_passes = 0;
-  /// Worker threads for match building and concurrent K / row evaluations.
-  /// 0 = an equal share of the machine given the evaluations currently in
-  /// flight (recommended_threads(flows_in_flight()): the whole machine for a
-  /// lone run, hardware/J when J run() calls overlap — J
-  /// concurrent default-option jobs no longer oversubscribe to J x cores);
-  /// 1 = no pool is created. Results are bit-identical for every value.
+  /// Evaluations a sweep (congestion_aware_flow's K windows,
+  /// find_min_routable_rows' row windows) runs at once: the `width` of
+  /// sweep_evaluations. 0 = one per hardware thread; 1 = one after another
+  /// on the caller's thread. A single evaluation ignores it. Results are
+  /// bit-identical for every value.
   std::uint32_t num_threads = 0;
   // ---- guardrails (DESIGN.md §9) — defaults reproduce the seed flow ------
   /// Wall-clock budget per phase (map / place / route / STA), in seconds.
@@ -134,12 +134,6 @@ struct FlowRun {
   CongestionMap congestion_pre;
 };
 
-/// Evaluations (DesignContext::run / run_checked) currently executing across
-/// the whole process. FlowOptions::num_threads == 0 resolves against this so
-/// concurrent callers split the machine instead of each grabbing
-/// hardware_concurrency (cals::recommended_threads in thread_pool.hpp).
-std::uint32_t flows_in_flight();
-
 /// The flow's phases, in execution order. `FlowResult::phases_completed`
 /// counts how many finished, so kMap..kSta double as progress markers.
 enum class FlowPhase : std::uint8_t { kMap = 0, kPlace, kRoute, kSta };
@@ -159,7 +153,7 @@ struct FlowResult {
 
 /// Per-floorplan context: builds the technology-independent placement once
 /// (the paper stresses this is generated a single time) and serves any
-/// number of mapping evaluations against it — concurrently, if asked.
+/// number of mapping evaluations against it, from any number of threads.
 class DesignContext {
  public:
   DesignContext(BaseNetwork net, const Library* library, Floorplan floorplan,
@@ -192,9 +186,9 @@ class DesignContext {
   /// HPWL of the technology-independent placement (diagnostics).
   double base_hpwl() const { return base_hpwl_; }
 
-  /// Maps at options.K and runs the physical design evaluation. Safe to call
-  /// concurrently from pool tasks (all per-run state is local; the match
-  /// cache and pool are internally synchronized).
+  /// Maps at options.K and runs the physical design evaluation on the
+  /// calling thread. Safe to call concurrently (all per-run state is local;
+  /// the match cache is internally synchronized).
   FlowRun run(const FlowOptions& options) const;
 
   /// run() with the guardrails engaged: phase budgets are enforced at phase
@@ -214,17 +208,10 @@ class DesignContext {
   FlowResult implement(MapResult mapped, const FlowOptions& options) const;
 
   /// The memoized K-independent matching front end for {partition, metric}:
-  /// built on first use (optionally in parallel on `pool`), then shared by
-  /// every subsequent run. Thread-safe.
+  /// built on first use, under the context's lock, so concurrent first calls
+  /// build it once; then shared by every subsequent run. Thread-safe.
   std::shared_ptr<const MatchDatabase> match_database(PartitionStrategy partition,
-                                                      DistanceMetric metric,
-                                                      ThreadPool* pool = nullptr) const;
-
-  /// The context's shared worker pool for `num_threads` (0 = hardware
-  /// concurrency). Returns nullptr when the resolved count is 1 — callers
-  /// then take the serial path. Created lazily on first use and reused (the
-  /// first creation fixes the worker count). Thread-safe.
-  ThreadPool* pool(std::uint32_t num_threads) const;
+                                                      DistanceMetric metric) const;
 
  private:
   BaseNetwork net_;
@@ -240,18 +227,30 @@ class DesignContext {
                         FlowResult* checked) const;
 
   mutable std::mutex mutex_;
-  mutable std::unique_ptr<ThreadPool> pool_;
   mutable std::map<std::pair<int, int>, std::shared_ptr<const MatchDatabase>> match_dbs_;
 };
+
+/// The flow's one parallel grain: runs evaluate(i) for i in [0, count), at
+/// most `width` at a time (0 = ThreadPool::hardware_threads()), and hands
+/// each result to take(i, result) in index order until take returns false.
+/// Evaluations run in windows of `width` on a pool of min(width, count)
+/// workers, made for the call; a window of one runs on the calling thread,
+/// so width 1 never starts a thread. Stopping discards the rest of the
+/// current window (at most width - 1 evaluations past the stop). An
+/// exception thrown by evaluate reaches the caller once its window is done.
+/// evaluate may run on several threads at once; take runs on the calling
+/// thread.
+void sweep_evaluations(std::size_t count, std::uint32_t width,
+                       const std::function<FlowResult(std::size_t)>& evaluate,
+                       const std::function<bool(std::size_t, FlowResult&)>& take);
 
 /// The Fig. 3 iteration: evaluates the K schedule in order and stops at the
 /// first netlist whose congestion map is acceptable; keeps all runs for
 /// reporting. If none is acceptable, `chosen` is the run with the fewest
 /// violations (the designer would then add routing resources).
-/// With num_threads != 1 all schedule points are evaluated concurrently
-/// (speculatively — points past the convergence K are extra work that the
-/// serial path would have skipped) and the serial selection is replayed, so
-/// runs/chosen/converged are identical to the serial result.
+/// The schedule runs through sweep_evaluations at options.num_threads, so
+/// points past the convergence K in its last window are speculative extra
+/// work; runs/chosen/converged are identical to the serial result.
 /// `status` summarizes the iteration for callers that degrade gracefully:
 /// OK when converged; kInfeasible (with best-effort overflow diagnostics in
 /// the message) when the schedule is exhausted without a routable K;
@@ -290,9 +289,10 @@ KRefineResult refine_k(const DesignContext& context, double k_low, double k_high
 
 /// Grows the floorplan row count until the design routes without violations
 /// (how the paper finds "chip area / no. of rows" in Tables 3 and 5).
-/// With num_threads != 1, windows of candidate row counts are evaluated
-/// concurrently (each with its own floorplan/context) and scanned in order —
-/// the returned rows/run are identical to the serial search.
+/// Candidate row counts run through sweep_evaluations at
+/// options.num_threads, each with its own floorplan and context, and are
+/// scanned in order: the returned rows/run are identical to the serial
+/// search.
 struct RowSearchResult {
   std::uint32_t rows = 0;
   bool found = false;

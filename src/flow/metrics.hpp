@@ -33,10 +33,6 @@ struct FlowMetrics {
   double place_seconds = 0.0;         ///< lower + place/seed + legalize + refine
   double route_seconds = 0.0;         ///< grid build + global route + congestion
   double sta_seconds = 0.0;           ///< static timing
-  /// Worker threads the evaluation actually used (1 = serial path). Recorded
-  /// so sweeps on small machines can see why parallel speedups are invisible
-  /// (a 1-CPU container resolves num_threads=0 to a single worker).
-  std::uint32_t threads_used = 1;
   // Congestion repair (cals::rcm, DESIGN.md §15). All zero when
   // FlowOptions::repair_passes == 0 — the repair-off flow never touches them.
   std::uint32_t rcm_passes = 0;            ///< repair passes actually executed

@@ -228,22 +228,16 @@ std::vector<VertexCover> cover_forest(const BaseNetwork& net, const SubjectFores
 
 MatchSet build_match_set(const BaseNetwork& net, const SubjectForest& forest,
                          const Matcher& matcher, const Library& library,
-                         const std::vector<Point>& positions, ThreadPool* pool) {
+                         const std::vector<Point>& positions) {
   CALS_CHECK(positions.size() == net.num_nodes());
   MatchSet set;
   // The Match vectors are a build-side temporary: everything the DP and the
   // realizer need is flattened into the CSR arrays below.
   std::vector<std::vector<Match>> at(net.num_nodes());
-
-  // Matching is per-vertex independent (the matcher only reads the subject
-  // graph), so the enumeration parallelizes trivially.
-  ThreadPool::parallel_for(pool, 0, net.num_nodes(), 64,
-                           [&](std::size_t lo, std::size_t hi) {
-                             for (std::size_t i = lo; i < hi; ++i) {
-                               const NodeId v{static_cast<std::uint32_t>(i)};
-                               if (forest.in_tree(v)) at[i] = matcher.matches_at(v);
-                             }
-                           });
+  for (std::uint32_t i = 0; i < net.num_nodes(); ++i) {
+    const NodeId v{i};
+    if (forest.in_tree(v)) at[i] = matcher.matches_at(v);
+  }
 
   // Flatten the K-independent inputs of the pricing loop into the SoA view.
   // Slot order is exactly the (node, match) order of `at`; pin, dup, and

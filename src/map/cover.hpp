@@ -25,7 +25,6 @@
 #include "map/partition.hpp"
 #include "netlist/base_network.hpp"
 #include "util/cancel.hpp"
-#include "util/thread_pool.hpp"
 #include "util/vec_view.hpp"
 
 namespace cals {
@@ -122,12 +121,10 @@ struct MatchSet {
 
 /// Precomputes matches (with the SoA pricing view) for `forest`.
 /// positions[n] must hold the initial placement coordinate of every node —
-/// the same array later passed to cover_forest. Matching is per-vertex
-/// independent; a non-null pool parallelizes it.
+/// the same array later passed to cover_forest.
 MatchSet build_match_set(const BaseNetwork& net, const SubjectForest& forest,
                          const Matcher& matcher, const Library& library,
-                         const std::vector<Point>& positions,
-                         ThreadPool* pool = nullptr);
+                         const std::vector<Point>& positions);
 
 /// The covering DP over precomputed matches, in ascending node order (serial:
 /// a wave-parallel DP measured slower than this loop). Bit-identical to the

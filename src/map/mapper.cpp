@@ -99,7 +99,7 @@ MapResult map_network(const BaseNetwork& net, const Library& library,
 MatchDatabase build_match_database(const BaseNetwork& net, const Library& library,
                                    const std::vector<Point>& positions,
                                    PartitionStrategy partition, DistanceMetric metric,
-                                   ThreadPool* pool) {
+                                   ThreadPool*) {
   CALS_CHECK_MSG(net.fanouts_built(), "call build_fanouts() first");
   CALS_TRACE_SCOPE("map.match_db_build");
   // Dataset-served jobs must never reach this builder (the blob carries the
@@ -110,7 +110,7 @@ MatchDatabase build_match_database(const BaseNetwork& net, const Library& librar
   db.metric = metric;
   db.forest = partition_dag(net, partition, positions, metric);
   const Matcher matcher(net, db.forest, library);
-  db.matches = build_match_set(net, db.forest, matcher, library, positions, pool);
+  db.matches = build_match_set(net, db.forest, matcher, library, positions);
   return db;
 }
 

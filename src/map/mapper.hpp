@@ -14,9 +14,10 @@
 #include "map/cover.hpp"
 #include "map/mapped_netlist.hpp"
 #include "map/partition.hpp"
-#include "util/thread_pool.hpp"
 
 namespace cals {
+
+class ThreadPool;
 
 struct MapperOptions {
   PartitionStrategy partition = PartitionStrategy::kPlacementDriven;
@@ -61,13 +62,13 @@ struct MatchDatabase {
   MatchSet matches;
 };
 
-/// Runs partition + matcher for the given strategy/metric. A non-null pool
-/// parallelizes the match enumeration.
+/// Runs partition + matcher for the given strategy/metric, serially. The
+/// trailing pool is ignored; it stays only for callers that still pass one.
 MatchDatabase build_match_database(const BaseNetwork& net, const Library& library,
                                    const std::vector<Point>& positions,
                                    PartitionStrategy partition,
                                    DistanceMetric metric = DistanceMetric::kManhattan,
-                                   ThreadPool* pool = nullptr);
+                                   ThreadPool* = nullptr);
 
 /// The per-K back half of map_network: DP cover over the cached database,
 /// then netlist construction, serially. `cover.metric` must equal `db.metric`

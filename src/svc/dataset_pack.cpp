@@ -25,9 +25,8 @@ Result<PackedDataset> pack_job_dataset(const JobSpec& spec, const std::string& o
   // spec's {partition, metric}.
   const DesignContext context(std::move(design->net), &design->library,
                               design->floorplan);
-  const std::shared_ptr<const MatchDatabase> db = context.match_database(
-      spec.options.partition, spec.options.metric,
-      context.pool(spec.options.num_threads));
+  const std::shared_ptr<const MatchDatabase> db =
+      context.match_database(spec.options.partition, spec.options.metric);
 
   const std::vector<std::uint8_t> blob = store::serialize_dataset(
       context, *db, canonical_dataset_options(spec), keys.dataset_key, version);

@@ -102,7 +102,6 @@ FlightRecord flight_from_record(const JobRecord& record) {
   f.routable = m.routable;
   f.critical_path_ns = m.critical_path_ns;
   f.num_rows = m.num_rows;
-  f.threads_used = m.threads_used;
   f.rcm_passes = m.rcm_passes;
   f.rcm_cells_moved = m.rcm_cells_moved;
   f.rcm_overflow_removed = m.rcm_overflow_removed;
@@ -140,7 +139,6 @@ std::string flight_record_to_json(const FlightRecord& f) {
   w.field("dataset_key", f.dataset_key);
   w.field("queue_seconds", f.queue_seconds);
   w.field("exec_seconds", f.exec_seconds);
-  w.field("thread_slice", f.thread_slice);
   w.field("queue_depth_at_submit", f.queue_depth_at_submit);
   w.field("cache_hit", f.cache_hit);
   w.field("coalesced", f.coalesced);
@@ -171,7 +169,6 @@ std::string flight_record_to_json(const FlightRecord& f) {
   w.field("routable", f.routable);
   w.field("critical_path_ns", f.critical_path_ns);
   w.field("num_rows", f.num_rows);
-  w.field("threads_used", f.threads_used);
   w.field("events", join_lines(f.events));
   return std::move(w).finish();
 }
@@ -199,7 +196,6 @@ Result<FlightRecord> flight_record_from_json(std::string_view text) {
   get_string(obj, "dataset_key", f.dataset_key);
   get_double(obj, "queue_seconds", f.queue_seconds);
   get_double(obj, "exec_seconds", f.exec_seconds);
-  get_u32(obj, "thread_slice", f.thread_slice);
   get_u64(obj, "queue_depth_at_submit", f.queue_depth_at_submit);
   get_bool(obj, "cache_hit", f.cache_hit);
   get_bool(obj, "coalesced", f.coalesced);
@@ -235,7 +231,6 @@ Result<FlightRecord> flight_record_from_json(std::string_view text) {
   get_bool(obj, "routable", f.routable);
   get_double(obj, "critical_path_ns", f.critical_path_ns);
   get_u32(obj, "num_rows", f.num_rows);
-  get_u32(obj, "threads_used", f.threads_used);
   joined.clear();
   if (get_string(obj, "events", joined) && !joined.empty())
     f.events = split_lines(joined);

@@ -53,7 +53,6 @@ struct FlightRecord {
   // ---- scheduling ----------------------------------------------------------
   double queue_seconds = 0.0;  ///< submit -> dispatch (or resolution)
   double exec_seconds = 0.0;   ///< dispatch -> terminal (0 when nothing ran)
-  std::uint32_t thread_slice = 0;  ///< workers claimed by the dispatch
   std::uint64_t queue_depth_at_submit = 0;  ///< backlog the job queued behind
 
   // ---- provenance ----------------------------------------------------------
@@ -100,7 +99,6 @@ struct FlightRecord {
   bool routable = false;
   double critical_path_ns = 0.0;
   std::uint32_t num_rows = 0;
-  std::uint32_t threads_used = 0;
 
   // ---- fault / degradation events, oldest first -----------------------------
   std::vector<std::string> events;
@@ -113,7 +111,7 @@ struct FlightRecord {
 /// Seeds a FlightRecord from a (terminal) JobRecord: identity, provenance
 /// flags, status tokens, phase walls and QoR all come from the record and
 /// its outcome metrics. The service layers the pieces only it knows on top
-/// (thread slice, queue depth, route telemetry, dataset version, events).
+/// (queue depth, route telemetry, dataset version, events).
 FlightRecord flight_from_record(const JobRecord& record);
 
 /// Folds one run's per-iteration router stats into the record's trajectory

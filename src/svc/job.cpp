@@ -173,7 +173,6 @@ std::string job_spec_to_json(const JobSpec& spec) {
   w.field("twc", spec.options.transitive_wire_cost);
   w.field("replace", spec.options.replace_mapped);
   w.field("refine", spec.options.refine_passes);
-  w.field("threads", spec.options.num_threads);
   w.field("max_route_iters", spec.options.max_route_iters);
   w.field("time_budget_s", spec.options.phase_time_budget_s);
   // Placement / grid / router sub-options: every field the cache key hashes
@@ -245,7 +244,6 @@ Result<JobSpec> job_spec_from_json(std::string_view text) {
   get_bool(obj, "twc", spec.options.transitive_wire_cost);
   get_bool(obj, "replace", spec.options.replace_mapped);
   get_u32(obj, "refine", spec.options.refine_passes);
-  get_u32(obj, "threads", spec.options.num_threads);
   get_u32(obj, "max_route_iters", spec.options.max_route_iters);
   get_double(obj, "time_budget_s", spec.options.phase_time_budget_s);
   get_u32(obj, "p_min_bin", spec.options.place.min_bin_objects);
@@ -289,7 +287,6 @@ void append_metrics_fields(JsonObjectWriter& w, const FlowMetrics& m) {
   w.field("m_place_seconds", m.place_seconds);
   w.field("m_route_seconds", m.route_seconds);
   w.field("m_sta_seconds", m.sta_seconds);
-  w.field("m_threads_used", m.threads_used);
   w.field("m_rcm_passes", m.rcm_passes);
   w.field("m_rcm_cells_moved", m.rcm_cells_moved);
   w.field("m_rcm_overflow_removed", m.rcm_overflow_removed);
@@ -315,7 +312,6 @@ FlowMetrics metrics_from_json(const JsonObject& obj) {
   get_double(obj, "m_place_seconds", m.place_seconds);
   get_double(obj, "m_route_seconds", m.route_seconds);
   get_double(obj, "m_sta_seconds", m.sta_seconds);
-  get_u32(obj, "m_threads_used", m.threads_used);
   get_u32(obj, "m_rcm_passes", m.rcm_passes);
   get_u32(obj, "m_rcm_cells_moved", m.rcm_cells_moved);
   get_u64(obj, "m_rcm_overflow_removed", m.rcm_overflow_removed);

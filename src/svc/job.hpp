@@ -11,9 +11,10 @@
 ///   (design bytes, library bytes, canonicalized options)
 /// where the canonical options string enumerates every FlowOptions /
 /// floorplan field that can change the produced FlowMetrics — and
-/// deliberately EXCLUDES `num_threads`, which the flow layer guarantees is
-/// a bit-identical knob (DESIGN.md §6), so a job run serial and a job run
-/// on eight workers share one cache entry.
+/// deliberately EXCLUDES `num_threads`: it only sets how many evaluations a
+/// sweep runs at once, which never changes a result (DESIGN.md §6), and the
+/// job wire format does not carry it (a served job runs serially; an old
+/// job file's "threads" key is ignored).
 
 #include <cstdint>
 #include <string>

@@ -17,7 +17,6 @@
 #include "util/log.hpp"
 #include "util/obs.hpp"
 #include "util/strings.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 #include "workloads/presets.hpp"
 
@@ -54,13 +53,12 @@ Result<JobDesign> build_job_design(const JobSpec& spec) {
 }
 
 JobOutcome evaluate_job_on_context(const JobSpec& spec, const DesignContext& context,
-                                   std::uint32_t num_threads_override,
                                    std::vector<RouteIterStats>* route_iters,
                                    rcm::RepairStats* repair) {
   CALS_TRACE_SCOPE("svc.job.eval");
   JobOutcome outcome;
   FlowOptions options = spec.options;
-  if (num_threads_override != UINT32_MAX) options.num_threads = num_threads_override;
+  options.num_threads = 1;  // auto_k walks its schedule on this thread
   options.on_error = ErrorPolicy::kBestEffort;
 
   if (spec.auto_k) {
@@ -83,8 +81,7 @@ JobOutcome evaluate_job_on_context(const JobSpec& spec, const DesignContext& con
   return outcome;
 }
 
-JobOutcome run_flow_job(const JobSpec& spec, std::uint32_t num_threads_override,
-                        std::vector<RouteIterStats>* route_iters,
+JobOutcome run_flow_job(const JobSpec& spec, std::vector<RouteIterStats>* route_iters,
                         rcm::RepairStats* repair) {
   CALS_TRACE_SCOPE("svc.job.flow");
   Result<JobDesign> design = build_job_design(spec);
@@ -95,24 +92,7 @@ JobOutcome run_flow_job(const JobSpec& spec, std::uint32_t num_threads_override,
   }
   const DesignContext context(std::move(design->net), &design->library,
                               design->floorplan);
-  return evaluate_job_on_context(spec, context, num_threads_override, route_iters,
-                                 repair);
-}
-
-std::uint32_t fair_thread_slice(std::uint32_t budget, std::uint32_t dispatchers,
-                                std::uint32_t other_running, std::size_t queued,
-                                std::uint32_t claimed) {
-  // Contenders = this job plus every idle dispatcher that has queued work to
-  // pick up right now. Dividing the *unclaimed* budget among them keeps the
-  // claimed sum at or under the budget (each claimer takes at most its even
-  // share of what is left), while a lone job sees one contender and takes
-  // everything. The max(1, ...) floor means a fully claimed budget still
-  // runs the job single-threaded rather than stalling it.
-  const std::uint32_t idle = dispatchers - std::min(dispatchers, other_running + 1);
-  const std::uint32_t contenders =
-      1 + static_cast<std::uint32_t>(std::min<std::size_t>(idle, queued));
-  const std::uint32_t avail = budget > claimed ? budget - claimed : 0u;
-  return std::max(1u, avail / contenders);
+  return evaluate_job_on_context(spec, context, route_iters, repair);
 }
 
 double retry_backoff_delay_ms(double base_ms, double max_ms,
@@ -135,10 +115,6 @@ double retry_backoff_delay_ms(double base_ms, double max_ms,
 FlowService::FlowService(ServiceOptions options)
     : options_(options), flights_(options.flight_ring_capacity) {
   const std::uint32_t jobs = std::max(1u, options_.max_parallel_jobs);
-  threads_per_job_ =
-      options_.total_threads == 0
-          ? recommended_threads(jobs)
-          : std::max(1u, options_.total_threads / jobs);
   paused_ = options_.start_paused;
   dispatchers_.reserve(jobs);
   for (std::uint32_t i = 0; i < jobs; ++i)
@@ -402,7 +378,6 @@ FlowService::Stats FlowService::stats() const {
 void FlowService::dispatcher_loop() {
   for (;;) {
     std::shared_ptr<Job> job;
-    std::uint32_t slice = 1;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       for (;;) {
@@ -438,21 +413,8 @@ void FlowService::dispatcher_loop() {
       job->record.state = JobState::kRunning;
       job->record.run_sequence = ++dispatch_seq_;
       ++running_;
-      // Claim this job's thread slice atomically with the pop: with the claim
-      // and the running/queue counts under one lock, two dispatchers racing
-      // into empty budget can never both size themselves as "the only job"
-      // (the transient-oversubscription fix — see fair_thread_slice).
-      const std::uint32_t budget = options_.total_threads == 0
-                                       ? ThreadPool::hardware_threads()
-                                       : options_.total_threads;
-      slice = fair_thread_slice(
-          budget, static_cast<std::uint32_t>(dispatchers_.size()),
-          static_cast<std::uint32_t>(running_ - 1), queue_.size(),
-          claimed_threads_);
-      claimed_threads_ += slice;
       publish_queue_depth_locked();
       CALS_OBS_GAUGE_MAX("svc.max_running", running_);
-      CALS_OBS_GAUGE_MAX("svc.max_claimed_threads", claimed_threads_);
 
       // Arm the attempt: bump the counter, hand the flow a fresh token and
       // start the deadline clock. The token is per-attempt so a deadline
@@ -471,7 +433,7 @@ void FlowService::dispatcher_loop() {
       if (options_.journal != nullptr && !job->journal_stem.empty())
         options_.journal->record_dispatched(job->journal_stem, job->attempt);
     }
-    execute(job, slice);
+    execute(job);
   }
 }
 
@@ -507,8 +469,7 @@ void FlowService::watchdog_loop() {
   }
 }
 
-void FlowService::execute(const std::shared_ptr<Job>& job,
-                          std::uint32_t thread_slice) {
+void FlowService::execute(const std::shared_ptr<Job>& job) {
   CALS_TRACE_SCOPE_ARG("svc.job", "priority", job->record.priority);
   const double queue_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - job->submitted)
@@ -516,7 +477,6 @@ void FlowService::execute(const std::shared_ptr<Job>& job,
   Timer exec_timer;
   JobOutcome outcome;
   FlightExtras extras;
-  extras.thread_slice = thread_slice;
   bool executed_flow = false;
   try {
     // The dispatch probe sits before the cache so an armed fault poisons
@@ -535,14 +495,13 @@ void FlowService::execute(const std::shared_ptr<Job>& job,
       if (options_.datasets != nullptr)
         dataset = options_.datasets->acquire(job->record.dataset_key);
       if (dataset != nullptr) {
-        outcome = evaluate_job_on_context(job->spec, dataset->context(), thread_slice,
+        outcome = evaluate_job_on_context(job->spec, dataset->context(),
                                           &extras.route_iters, &extras.repair);
         outcome.dataset = true;
         extras.dataset_version = dataset->version();
         CALS_OBS_COUNT("svc.dataset.jobs", 1);
       } else {
-        outcome = run_flow_job(job->spec, thread_slice, &extras.route_iters,
-                               &extras.repair);
+        outcome = run_flow_job(job->spec, &extras.route_iters, &extras.repair);
       }
       executed_flow = true;
       if (options_.cache != nullptr)
@@ -610,7 +569,6 @@ void FlowService::execute(const std::shared_ptr<Job>& job,
             std::chrono::microseconds(std::llround(delay_ms * 1000.0)),
         job->record.id);
     --running_;
-    claimed_threads_ -= std::min(claimed_threads_, thread_slice);
     work_available_.notify_all();
     state_changed_.notify_all();
     return;
@@ -620,7 +578,6 @@ void FlowService::execute(const std::shared_ptr<Job>& job,
   outcome.retries_exhausted = retryable && cap > 1 && job->attempt >= cap;
   finalize_locked(job, std::move(outcome), extras);
   --running_;
-  claimed_threads_ -= std::min(claimed_threads_, thread_slice);
   state_changed_.notify_all();
 }
 
@@ -683,7 +640,6 @@ void FlowService::finalize_locked(const std::shared_ptr<Job>& job, JobOutcome ou
 void FlowService::push_flight_locked(const Job& job, const FlightExtras& extras) {
   FlightRecord flight = flight_from_record(job.record);
   flight.queue_depth_at_submit = job.queue_depth_at_submit;
-  flight.thread_slice = extras.thread_slice;
   flight.dataset_version = extras.dataset_version;
   flight_add_route_stats(flight, extras.route_iters);
   flight_add_repair_stats(flight, extras.repair);

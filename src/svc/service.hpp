@@ -2,8 +2,8 @@
 /// \file service.hpp
 /// `cals::svc::FlowService` — the embeddable batch flow service (DESIGN.md
 /// §10): a bounded priority queue of JobSpecs drained by a fixed set of
-/// dispatcher threads, each running one congestion-aware flow at a time
-/// with an explicit per-job slice of the machine's thread budget.
+/// dispatcher threads, each running one congestion-aware flow at a time on
+/// its own thread.
 ///
 /// Scheduling model:
 ///  * Admission control is up-front: `submit` on a full queue returns
@@ -22,14 +22,10 @@
 ///    faults) re-enqueues with exponential backoff + deterministic jitter
 ///    until the attempt cap (max of JobSpec::max_attempts and the service
 ///    default). Parse/infeasible/cancel/deadline failures never retry.
-///  * Thread partitioning: with J = max_parallel_jobs dispatchers and a
-///    total budget of T threads (0 = hardware), each dispatch claims a fair
-///    slice of the *unclaimed* budget under the service lock (see
-///    fair_thread_slice) and releases it on completion. Concurrent jobs
-///    never oversubscribe the machine the way J independent
-///    `DesignContext::run(num_threads=0)` calls historically did, and a
-///    lone job is no longer pinned to the T/J floor — it takes whatever the
-///    budget has left (the whole machine when nothing else runs).
+///  * Threads: the max_parallel_jobs dispatchers are the service's only
+///    workers. Each job runs on its dispatcher's thread at num_threads = 1,
+///    so an auto_k job walks its K schedule one point at a time and J
+///    dispatchers keep at most J flows busy.
 ///  * Duplicate coalescing: a submission whose cache key matches a job that
 ///    is still queued/running becomes a *follower* — it gets its own JobId
 ///    and record but no queue slot; when the primary finishes, the follower
@@ -40,10 +36,9 @@
 ///    cache; a hit returns the recorded metrics without running the flow.
 ///
 /// Failure policy: a dispatch that throws (an armed `svc.dispatch` fault,
-/// bad_alloc, a pool-task failure surfacing through TaskGroup::wait) marks
-/// that job kFailed with a kInternal status and the dispatcher moves on —
-/// one poisoned job never stops the queue from draining (the no-crash
-/// contract tools/fault_sweep.sh enforces).
+/// bad_alloc, ...) marks that job kFailed with a kInternal status and the
+/// dispatcher moves on — one poisoned job never stops the queue from
+/// draining (the no-crash contract tools/fault_sweep.sh enforces).
 ///
 /// Everything is thread-safe; snapshots/records are returned by value.
 
@@ -90,7 +85,8 @@ Result<JobDesign> build_job_design(const JobSpec& spec);
 
 /// The back half of run_flow_job: evaluates `spec` against an
 /// already-built context (options.K or the Fig. 3 schedule when
-/// spec.auto_k), guardrails engaged. Flow failures come back in
+/// spec.auto_k) on the calling thread, at num_threads = 1 whatever the
+/// spec says, guardrails engaged. Flow failures come back in
 /// `JobOutcome::status` — never thrown. The context must have been built
 /// for this spec's dataset options (canonical_dataset_options); the service
 /// guarantees that by keying DatasetStore lookups on record.dataset_key.
@@ -98,7 +94,6 @@ Result<JobDesign> build_job_design(const JobSpec& spec);
 /// stats (the flight recorder's overflow trajectory); a non-null `repair`
 /// the run's congestion-repair stats (empty for repair-off specs).
 JobOutcome evaluate_job_on_context(const JobSpec& spec, const DesignContext& context,
-                                   std::uint32_t num_threads_override = UINT32_MAX,
                                    std::vector<RouteIterStats>* route_iters = nullptr,
                                    rcm::RepairStats* repair = nullptr);
 
@@ -106,24 +101,10 @@ JobOutcome evaluate_job_on_context(const JobSpec& spec, const DesignContext& con
 /// cache): parse the design + library, build the floorplan and context,
 /// evaluate at options.K (or the Fig. 3 schedule when spec.auto_k). Parse
 /// and flow failures come back in `JobOutcome::status` — never thrown.
-/// `num_threads_override` != UINT32_MAX replaces spec.options.num_threads
-/// (how the service applies its per-job slice). `route_iters` and `repair`
-/// as in evaluate_job_on_context.
+/// `route_iters` and `repair` as in evaluate_job_on_context.
 JobOutcome run_flow_job(const JobSpec& spec,
-                        std::uint32_t num_threads_override = UINT32_MAX,
                         std::vector<RouteIterStats>* route_iters = nullptr,
                         rcm::RepairStats* repair = nullptr);
-
-/// The worker-thread slice a dispatch claims, decided atomically with the
-/// claim under the service lock: the unclaimed budget divided evenly among
-/// this job and everyone who could contend for it right now (idle
-/// dispatchers capped by the queued backlog), never less than 1. Claims are
-/// released when the job finishes, so a lone job takes the whole budget
-/// while a full service converges to budget / max_parallel_jobs each.
-/// Exposed for direct unit testing of the scheduling arithmetic.
-std::uint32_t fair_thread_slice(std::uint32_t budget, std::uint32_t dispatchers,
-                                std::uint32_t other_running, std::size_t queued,
-                                std::uint32_t claimed);
 
 /// Backoff before retry number `attempt` (1-based attempts already
 /// consumed): base * 2^(attempt-1) capped at `max_ms`, scaled by a
@@ -136,10 +117,11 @@ double retry_backoff_delay_ms(double base_ms, double max_ms,
 struct ServiceOptions {
   /// Queued-job bound for admission control (running jobs excluded).
   std::size_t queue_capacity = 64;
-  /// Dispatcher threads = jobs in flight at once (>= 1).
+  /// Dispatcher threads = jobs in flight at once (>= 1): the service's one
+  /// concurrency knob.
   std::uint32_t max_parallel_jobs = 2;
-  /// Total worker-thread budget partitioned across dispatchers; 0 = the
-  /// machine (ThreadPool::hardware_threads()).
+  /// Ignored: each job runs on its dispatcher's thread. It stays only for
+  /// callers that still set it (perfbench's serve workloads).
   std::uint32_t total_threads = 0;
   /// Optional persistent result cache (not owned; must outlive the service).
   ResultCache* cache = nullptr;
@@ -221,11 +203,6 @@ class FlowService {
   void pause();
   void resume();
 
-  /// The steady-state per-job slice (budget / max_parallel_jobs) — the
-  /// floor a job is guaranteed when the service is fully loaded. Actual
-  /// dispatches may claim more when budget is idle (see fair_thread_slice).
-  std::uint32_t threads_per_job() const { return threads_per_job_; }
-
   struct Stats {
     std::uint64_t submitted = 0;   ///< accepted submissions (incl. followers)
     std::uint64_t rejected = 0;    ///< admission rejections (queue full)
@@ -267,10 +244,9 @@ class FlowService {
   };
 
   /// What execute() learns beyond the JobOutcome, destined for the flight
-  /// record: the claimed slice, dataset pack version, router convergence
-  /// telemetry and any degradation events.
+  /// record: dataset pack version, router convergence telemetry and any
+  /// degradation events.
   struct FlightExtras {
-    std::uint32_t thread_slice = 0;
     std::uint64_t dataset_version = 0;
     std::vector<RouteIterStats> route_iters;
     rcm::RepairStats repair;  ///< congestion-repair per-pass trajectory
@@ -279,10 +255,10 @@ class FlowService {
 
   void dispatcher_loop();
   void watchdog_loop();
-  /// Runs `job` outside the lock with `thread_slice` workers, finalizes it
-  /// (and its followers) and releases the slice claim — or re-enqueues it
-  /// with backoff when the attempt failed retryably under the cap.
-  void execute(const std::shared_ptr<Job>& job, std::uint32_t thread_slice);
+  /// Runs `job` outside the lock on this dispatcher's thread, then
+  /// finalizes it (and its followers) — or re-enqueues it with backoff when
+  /// the attempt failed retryably under the cap.
+  void execute(const std::shared_ptr<Job>& job);
   void finalize_locked(const std::shared_ptr<Job>& job, JobOutcome outcome,
                        const FlightExtras& extras);
   void push_flight_locked(const Job& job, const FlightExtras& extras);
@@ -294,7 +270,6 @@ class FlowService {
   void cancel_queued_job_locked(Job& job);
 
   const ServiceOptions options_;
-  std::uint32_t threads_per_job_ = 1;
 
   mutable std::mutex mutex_;
   std::condition_variable work_available_;
@@ -313,7 +288,6 @@ class FlowService {
   /// cache key -> primary job still queued/running (coalescing target).
   std::map<std::string, JobId> active_by_key_;
   std::size_t running_ = 0;
-  std::uint32_t claimed_threads_ = 0;  ///< budget claimed by running jobs
   Stats stats_;
   /// Resolved-job flight records, newest first. Own (leaf) lock: pushes
   /// happen under mutex_, reads (the HTTP endpoints) don't need it.

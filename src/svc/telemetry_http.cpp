@@ -33,7 +33,6 @@ std::string flight_summary_json(const FlightRecord& f) {
   w.field("dataset", f.dataset);
   w.field("queue_seconds", f.queue_seconds);
   w.field("exec_seconds", f.exec_seconds);
-  w.field("thread_slice", f.thread_slice);
   w.field("k_factor", f.k_factor);
   w.field("wirelength_um", f.wirelength_um);
   w.field("routing_violations", f.routing_violations);

@@ -1,8 +1,8 @@
 #include "util/thread_pool.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <mutex>
+#include <utility>
 
 #include "util/faults.hpp"
 #include "util/log.hpp"
@@ -41,10 +41,6 @@ std::uint32_t ThreadPool::hardware_threads() {
   return n == 0 ? 1u : static_cast<std::uint32_t>(n);
 }
 
-std::uint32_t recommended_threads(std::uint32_t jobs_in_flight) {
-  return std::max(1u, ThreadPool::hardware_threads() / std::max(1u, jobs_in_flight));
-}
-
 ThreadPool::ThreadPool(std::uint32_t num_threads) {
   const std::uint32_t n = num_threads == 0 ? hardware_threads() : num_threads;
   const std::uint32_t hw = hardware_threads();
@@ -59,8 +55,7 @@ ThreadPool::ThreadPool(std::uint32_t num_threads) {
     });
     CALS_OBS_COUNT("pool.oversubscribed_pools", 1);
   }
-  // The worker count actually used, exposed for sweeps/benches (and echoed
-  // per run in FlowMetrics::threads_used).
+  // The worker count actually used, exposed for sweeps/benches.
   CALS_OBS_GAUGE_SET("pool.workers", n);
   workers_.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i)
@@ -167,22 +162,6 @@ void ThreadPool::TaskGroup::wait() {
     std::swap(error, first_error_);
   }
   if (error) std::rethrow_exception(error);
-}
-
-void ThreadPool::parallel_for(ThreadPool* pool, std::size_t begin, std::size_t end,
-                              std::size_t grain,
-                              const std::function<void(std::size_t, std::size_t)>& fn) {
-  grain = std::max<std::size_t>(grain, 1);
-  if (pool == nullptr || pool->num_workers() <= 1 || end - begin <= grain) {
-    if (begin < end) fn(begin, end);
-    return;
-  }
-  TaskGroup group(*pool);
-  for (std::size_t lo = begin; lo < end; lo += grain) {
-    const std::size_t hi = std::min(end, lo + grain);
-    group.run([&fn, lo, hi] { fn(lo, hi); });
-  }
-  group.wait();
 }
 
 }  // namespace cals

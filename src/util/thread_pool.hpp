@@ -1,17 +1,14 @@
 #pragma once
 /// \file thread_pool.hpp
-/// A small shared worker pool for the flow's reuse-and-parallelism layer:
-/// concurrent K evaluations and parallel match building run on one pool so
-/// the total thread count stays bounded by FlowOptions::num_threads.
-/// Covering, placement and routing inside one evaluation are serial and
-/// never use it.
+/// A small worker pool for the flow's one parallel grain: whole evaluations
+/// side by side (sweep_evaluations in flow.hpp, which sizes the pool). An
+/// evaluation itself never uses it.
 ///
 /// Design notes:
 ///  * Tasks are submitted through a TaskGroup (fork/join). `wait()` *helps*:
 ///    while its tasks are outstanding the waiting thread pops and executes
-///    pending pool tasks, so nested groups (a K-evaluation task that itself
-///    fans out match enumeration) never deadlock and never idle a core that
-///    has runnable work.
+///    pending pool tasks, so nested groups never deadlock and never idle a
+///    core that has runnable work.
 ///  * Determinism is the caller's contract, not the pool's: every algorithm
 ///    built on top of it partitions its writes disjointly and only reads
 ///    data published by completed tasks, so results are bit-identical to the
@@ -32,15 +29,6 @@
 #include <vector>
 
 namespace cals {
-
-/// The thread share one of `jobs_in_flight` concurrent flow evaluations
-/// should use so J jobs x T threads never oversubscribe the machine:
-/// max(1, hardware_threads() / jobs). 0 is treated as 1 (a lone caller gets
-/// the whole machine, the historical num_threads=0 behavior). The svc
-/// scheduler partitions its budget with this, and DesignContext resolves
-/// FlowOptions::num_threads == 0 through it using the library-wide count of
-/// flows currently inside run() (see flows_in_flight() in flow.hpp).
-std::uint32_t recommended_threads(std::uint32_t jobs_in_flight);
 
 class ThreadPool {
  public:
@@ -76,13 +64,6 @@ class ThreadPool {
     std::size_t pending_ = 0;          // guarded by mutex_
     std::exception_ptr first_error_;   // guarded by mutex_
   };
-
-  /// Chunked parallel loop over [begin, end): calls fn(lo, hi) for slices of
-  /// at most `grain` indices. Runs inline when the pool is null or the range
-  /// fits one chunk.
-  static void parallel_for(ThreadPool* pool, std::size_t begin, std::size_t end,
-                           std::size_t grain,
-                           const std::function<void(std::size_t, std::size_t)>& fn);
 
  private:
   void submit(std::function<void()> task);

@@ -1,14 +1,20 @@
-/// Determinism contract of the reuse-and-parallelism layer (DESIGN.md §6):
-/// any FlowOptions::num_threads value must produce results bit-identical to
-/// the serial path (num_threads = 1) — same covers, cell areas, wirelengths
-/// and critical paths.
+/// Threads between evaluations only (DESIGN.md §6): one evaluation runs on
+/// its caller's thread, and a sweep (K windows, row windows) gives results
+/// bit-identical to the serial path (num_threads = 1) — same covers, cell
+/// areas, wirelengths and critical paths — on no more workers than it has
+/// evaluations.
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <vector>
 
 #include "flow/baselines.hpp"
 #include "flow/flow.hpp"
 #include "library/corelib.hpp"
+#include "util/faults.hpp"
 #include "util/log.hpp"
+#include "util/obs.hpp"
 #include "workloads/presets.hpp"
 
 namespace cals {
@@ -68,14 +74,62 @@ void expect_identical_run(const FlowRun& a, const FlowRun& b) {
   EXPECT_EQ(a.metrics.routing_violations, b.metrics.routing_violations);
 }
 
-TEST(FlowParallel, SingleRunBitIdenticalToSerial) {
+TEST(FlowParallel, SingleEvaluationNeverReachesThePool) {
+  // num_threads sizes sweeps only: one evaluation at num_threads = 4 runs on
+  // this thread, so an armed pool-dispatch fault is never even visited.
   ScopedLogLevel silence(LogLevel::kSilent);
   const DesignContext context(test_network(), &test_library(), test_floorplan());
-  FlowOptions serial = serial_options();
-  FlowOptions parallel = parallel_options();
-  serial.K = 0.1;
-  parallel.K = 0.1;
-  expect_identical_run(context.run(serial), context.run(parallel));
+  FlowOptions options = parallel_options();
+  options.K = 0.1;
+  options.on_error = ErrorPolicy::kBestEffort;
+  faults::reset();
+  faults::arm("pool.dispatch", faults::FaultSpec{});
+  const FlowResult result = context.run_checked(options);
+  const std::uint64_t visits = faults::visits("pool.dispatch");
+  faults::reset();
+  EXPECT_TRUE(result.ok()) << result.status.to_string();
+  EXPECT_EQ(visits, 0u);
+}
+
+TEST(FlowParallel, SweepHandsResultsOverInOrderUntilStopped) {
+  // Windows of `width`: stopping at index 4 of 10 at width 3 has evaluated
+  // exactly the windows [0, 3) and [3, 6), whatever the scheduling.
+  for (const std::uint32_t width : {1u, 3u}) {
+    std::atomic<std::size_t> evaluated{0};
+    std::vector<std::size_t> taken;
+    sweep_evaluations(
+        10, width,
+        [&](std::size_t i) {
+          ++evaluated;
+          FlowResult result;
+          result.run.metrics.num_rows = static_cast<std::uint32_t>(i);
+          return result;
+        },
+        [&](std::size_t i, FlowResult& result) {
+          EXPECT_EQ(result.run.metrics.num_rows, i);
+          taken.push_back(i);
+          return i < 4;
+        });
+    EXPECT_EQ(taken, (std::vector<std::size_t>{0, 1, 2, 3, 4})) << "width " << width;
+    EXPECT_EQ(evaluated.load(), width == 1 ? 5u : 6u);
+  }
+}
+
+TEST(FlowParallel, SweepNeverStartsMoreWorkersThanEvaluations) {
+  // A 3-point K schedule at num_threads = 16 needs three workers, not 16.
+  ScopedLogLevel silence(LogLevel::kSilent);
+  const DesignContext context(test_network(), &test_library(), test_floorplan());
+  FlowOptions options = serial_options();
+  options.num_threads = 16;
+  obs::Registry::instance().reset();
+  obs::set_enabled(true);
+  const FlowIterationResult sweep =
+      congestion_aware_flow(context, {0.0, 0.05, 0.1}, options);
+  obs::set_enabled(false);
+  ASSERT_FALSE(sweep.runs.empty());
+  const double workers = obs::Registry::instance().gauge("pool.workers").value();
+  EXPECT_GT(workers, 0.0) << "the three evaluations ran on a pool";
+  EXPECT_LE(workers, 3.0);
 }
 
 TEST(FlowParallel, KSweepBitIdenticalToSerial) {
@@ -128,33 +182,6 @@ TEST(FlowParallel, RowSearchBitIdenticalToSerial) {
   ASSERT_EQ(serial.found, parallel.found);
   EXPECT_EQ(serial.rows, parallel.rows);
   expect_identical_run(serial.run, parallel.run);
-}
-
-TEST(FlowParallel, ThreadCountSweepBitIdenticalAcrossPresets) {
-  // The multi-core contract end-to-end: the full flow (pool-parallel
-  // matching, then serial covering, placement and routing) at T = 2/4/8
-  // reproduces the serial run bit-for-bit on every preset family.
-  ScopedLogLevel silence(LogLevel::kSilent);
-  const Pla presets[] = {workloads::spla_like(kScale), workloads::pdc_like(kScale),
-                         workloads::too_large_like(kScale)};
-  for (const Pla& pla : presets) {
-    BaseNetwork net = synthesize_base(pla);
-    net.build_fanouts();
-    const Floorplan fp = Floorplan::for_cell_area(net.num_base_gates() * 5.3, 0.58,
-                                                  test_library().tech());
-    const DesignContext context(net, &test_library(), fp);
-    FlowOptions serial = serial_options();
-    serial.K = 0.1;
-    const FlowRun baseline = context.run(serial);
-    for (const std::uint32_t threads : {2u, 4u, 8u}) {
-      FlowOptions options = parallel_options();
-      options.K = 0.1;
-      options.num_threads = threads;
-      const FlowRun run = context.run(options);
-      SCOPED_TRACE(testing::Message() << "threads=" << threads);
-      expect_identical_run(baseline, run);
-    }
-  }
 }
 
 }  // namespace

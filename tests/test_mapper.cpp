@@ -196,26 +196,19 @@ void expect_identical_map(const MapResult& a, const MapResult& b) {
 
 TEST(Mapper, CachedPathIdenticalAcrossKAndMetrics) {
   // One MatchDatabase serves every K of a sweep: map_network_cached must
-  // reproduce map_network bit for bit, for both distance metrics, with and
-  // without a pool.
+  // reproduce map_network bit for bit, for both distance metrics.
   const Library lib = lib::make_corelib();
   BaseNetwork net = random_circuit(31);
   const auto positions = jitter_positions(net, 31);
-  ThreadPool pool(4);
   for (const DistanceMetric metric : {DistanceMetric::kManhattan, DistanceMetric::kEuclidean}) {
     const MatchDatabase db = build_match_database(
-        net, lib, positions, PartitionStrategy::kPlacementDriven, metric, &pool);
+        net, lib, positions, PartitionStrategy::kPlacementDriven, metric);
     for (const double k : {0.05, 10.0}) {
       MapperOptions options;
       options.cover.K = k;
       options.cover.metric = metric;
-      const MapResult uncached = map_network(net, lib, positions, options);
-      const MapResult cached_serial =
-          map_network_cached(net, lib, positions, db, options.cover);
-      const MapResult cached_parallel =
-          map_network_cached(net, lib, positions, db, options.cover, &pool);
-      expect_identical_map(uncached, cached_serial);
-      expect_identical_map(uncached, cached_parallel);
+      expect_identical_map(map_network(net, lib, positions, options),
+                           map_network_cached(net, lib, positions, db, options.cover));
     }
   }
 }

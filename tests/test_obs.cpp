@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdint>
 #include <map>
@@ -298,24 +299,30 @@ TEST_F(ObsTest, SpanNestingAcrossThreadsProducesWellFormedJson) {
   EXPECT_EQ(args_seen, inner) << "span args must survive the export";
 }
 
+/// Runs fn(i) for every i in [0, items) as pool tasks of `grain` indices.
+void run_chunked(ThreadPool& pool, std::size_t items, std::size_t grain,
+                 void (*fn)(std::size_t)) {
+  ThreadPool::TaskGroup group(pool);
+  for (std::size_t lo = 0; lo < items; lo += grain)
+    group.run([fn, lo, hi = std::min(items, lo + grain)] {
+      for (std::size_t i = lo; i < hi; ++i) fn(i);
+    });
+  group.wait();
+}
+
 TEST_F(ObsTest, CountersAreRaceFreeUnderThreadPool) {
   ThreadPool pool(8);
   constexpr std::size_t kItems = 20000;
-  ThreadPool::parallel_for(&pool, 0, kItems, 64, [](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) CALS_OBS_COUNT("test.race_counter", 1);
-  });
+  run_chunked(pool, kItems, 64, [](std::size_t) { CALS_OBS_COUNT("test.race_counter", 1); });
   EXPECT_EQ(obs::Registry::instance().counter("test.race_counter").value(), kItems);
 
-  ThreadPool::parallel_for(&pool, 0, kItems, 64, [](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i)
-      CALS_OBS_GAUGE_MAX("test.race_gauge", static_cast<double>(i));
+  run_chunked(pool, kItems, 64, [](std::size_t i) {
+    CALS_OBS_GAUGE_MAX("test.race_gauge", static_cast<double>(i));
   });
   EXPECT_EQ(obs::Registry::instance().gauge("test.race_gauge").value(),
             static_cast<double>(kItems - 1));
 
-  ThreadPool::parallel_for(&pool, 0, kItems, 64, [](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) CALS_OBS_OBSERVE("test.race_hist", 2.0);
-  });
+  run_chunked(pool, kItems, 64, [](std::size_t) { CALS_OBS_OBSERVE("test.race_hist", 2.0); });
   const obs::Histogram& hist = obs::Registry::instance().histogram("test.race_hist");
   EXPECT_EQ(hist.count(), kItems);
   EXPECT_EQ(hist.sum(), 2.0 * kItems);
@@ -396,7 +403,6 @@ TEST_F(ObsTest, TracedFlowCoversAllPhasesAndExportsCongestionCsv) {
   const DesignContext context(net, &lib, fp);
   FlowOptions options;
   options.replace_mapped = false;
-  options.num_threads = 1;  // threads_used is asserted below
   const FlowRun run = context.run(options);
 
   // Every flow phase must appear as a span in the drained trace.
@@ -428,7 +434,6 @@ TEST_F(ObsTest, TracedFlowCoversAllPhasesAndExportsCongestionCsv) {
   }
   EXPECT_EQ(rows, static_cast<std::size_t>(map.ny()));
   EXPECT_EQ(commas, static_cast<std::size_t>(map.ny()) * (map.nx() - 1));
-  EXPECT_EQ(run.metrics.threads_used, 1u);
   debug_check_phase_accounting(run.metrics);
 }
 

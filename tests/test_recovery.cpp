@@ -107,13 +107,13 @@ TEST(CancelToken, CancelPointThrowsTypedErrorAndIgnoresNull) {
 TEST(FlowCancel, UnfiredTokenIsBitIdenticalToNoToken) {
   // The pin ISSUE.md demands: threading the token through mapper / placer /
   // router / STA must not change a single metric when it never fires.
-  const JobOutcome baseline = run_flow_job(tiny_job(), 1);
+  const JobOutcome baseline = run_flow_job(tiny_job());
   ASSERT_TRUE(baseline.status.ok()) << baseline.status.to_string();
 
   CancelToken token;
   JobSpec spec = tiny_job();
   spec.options.cancel = &token;
-  const JobOutcome with_token = run_flow_job(spec, 1);
+  const JobOutcome with_token = run_flow_job(spec);
   ASSERT_TRUE(with_token.status.ok()) << with_token.status.to_string();
   expect_metrics_identical(with_token.metrics, baseline.metrics);
 }
@@ -123,7 +123,7 @@ TEST(FlowCancel, PreCancelledTokenUnwindsWithTypedStatus) {
   token.cancel();
   JobSpec spec = tiny_job();
   spec.options.cancel = &token;
-  const JobOutcome outcome = run_flow_job(spec, 1);
+  const JobOutcome outcome = run_flow_job(spec);
   EXPECT_EQ(outcome.status.code(), ErrorCode::kCancelled);
 }
 
@@ -132,7 +132,7 @@ TEST(FlowCancel, ExpiredDeadlineUnwindsAsDeadlineExceeded) {
   token.set_deadline_after(-0.001);
   JobSpec spec = tiny_job();
   spec.options.cancel = &token;
-  const JobOutcome outcome = run_flow_job(spec, 1);
+  const JobOutcome outcome = run_flow_job(spec);
   EXPECT_EQ(outcome.status.code(), ErrorCode::kDeadlineExceeded);
 }
 

@@ -25,7 +25,6 @@
 #include "svc/spool.hpp"
 #include "svc/telemetry_http.hpp"
 #include "util/faults.hpp"
-#include "util/thread_pool.hpp"
 #include "workloads/plagen.hpp"
 #include "workloads/presets.hpp"
 
@@ -271,6 +270,44 @@ TEST(SvcJob, SpecJsonRejectsBadInput) {
       job_spec_from_json(R"({"design": ".i 1", "partition": "best"})").ok());
 }
 
+/// `json` (a flat object) with `fields` spliced in ahead of its own keys.
+std::string with_fields(const std::string& json, const std::string& fields) {
+  return "{" + fields + ", " + json.substr(1);
+}
+
+TEST(SvcJob, FilesWithRetiredThreadFieldsStillDecode) {
+  // Job files, outcomes and flight records written before services ran each
+  // job on one thread carry "threads", "m_threads_used", "thread_slice" and
+  // "threads_used". They still decode, to what the same file without them
+  // decodes to.
+  const JobSpec spec = tiny_job(0.1);
+  const std::string job = job_spec_to_json(spec);
+  const Result<JobSpec> old_job = job_spec_from_json(with_fields(job, R"("threads": 8)"));
+  ASSERT_TRUE(old_job.ok()) << old_job.status().to_string();
+  EXPECT_EQ(job_cache_key(*old_job), job_cache_key(*job_spec_from_json(job)));
+  EXPECT_EQ(job_cache_key(*old_job), job_cache_key(spec));
+
+  JobOutcome outcome;
+  outcome.metrics.num_cells = 123;
+  outcome.metrics.wirelength_um = 4567.0625;
+  const std::string text = job_outcome_to_json(outcome);
+  const Result<JobOutcome> old_outcome =
+      job_outcome_from_json(with_fields(text, R"("m_threads_used": 4)"));
+  ASSERT_TRUE(old_outcome.ok()) << old_outcome.status().to_string();
+  EXPECT_EQ(job_outcome_to_json(*old_outcome), text);
+
+  FlightRecord flight;
+  flight.id = 7;
+  flight.name = "old";
+  flight.state = "done";
+  flight.k_factor = 0.05;
+  const std::string record = flight_record_to_json(flight);
+  const Result<FlightRecord> old_flight = flight_record_from_json(
+      with_fields(record, R"("thread_slice": 4, "threads_used": 2)"));
+  ASSERT_TRUE(old_flight.ok()) << old_flight.status().to_string();
+  EXPECT_EQ(flight_record_to_json(*old_flight), record);
+}
+
 TEST(SvcJob, OutcomeJsonRoundTripIsExact) {
   JobOutcome outcome;
   outcome.status = Status::infeasible("no fit at 9 rows");
@@ -307,107 +344,10 @@ TEST(SvcJob, ErrorCodeTokensRoundTrip) {
   EXPECT_FALSE(error_code_from_token("no_such_code", unused));
 }
 
-// ---- thread budget partitioning (the oversubscription fix) -----------------
-
-TEST(SvcThreads, RecommendedThreadsPartitionsTheMachine) {
-  const std::uint32_t hw = ThreadPool::hardware_threads();
-  EXPECT_EQ(recommended_threads(0), hw);  // 0 jobs treated as 1
-  EXPECT_EQ(recommended_threads(1), hw);
-  EXPECT_EQ(recommended_threads(hw), 1u);
-  EXPECT_EQ(recommended_threads(hw * 10), 1u);  // never below 1
-  if (hw >= 2) {
-    EXPECT_EQ(recommended_threads(2), hw / 2);
-  }
-  // J jobs x recommended(J) threads never oversubscribes.
-  for (std::uint32_t j = 1; j <= hw + 2; ++j)
-    EXPECT_LE(std::max(1u, j) * recommended_threads(j),
-              std::max(hw, std::max(1u, j)));
-}
-
-TEST(SvcThreads, ServicePartitionsExplicitBudget) {
-  ServiceOptions options;
-  options.max_parallel_jobs = 4;
-  options.total_threads = 8;
-  options.start_paused = true;
-  FlowService service(options);
-  EXPECT_EQ(service.threads_per_job(), 2u);
-
-  ServiceOptions tight = options;
-  tight.total_threads = 3;  // floor, never zero
-  FlowService small(tight);
-  EXPECT_EQ(small.threads_per_job(), 1u);
-}
-
-TEST(SvcThreads, FairSliceLoneJobTakesTheWholeBudget) {
-  // The transient-oversubscription fix must not leave budget idle: a dispatch
-  // with no other running job and nothing queued claims everything.
-  EXPECT_EQ(fair_thread_slice(/*budget=*/8, /*dispatchers=*/4, /*other_running=*/0,
-                              /*queued=*/0, /*claimed=*/0),
-            8u);
-  EXPECT_EQ(fair_thread_slice(16, 2, 0, 0, 0), 16u);
-}
-
-TEST(SvcThreads, FairSliceSplitsEvenlyUnderFullLoad) {
-  // A full queue popped by all dispatchers: every claim lands on the
-  // steady-state budget / J share, and the claims sum exactly to the budget.
-  constexpr std::uint32_t kBudget = 8;
-  constexpr std::uint32_t kJobs = 4;
-  std::uint32_t claimed = 0;
-  for (std::uint32_t j = 0; j < kJobs; ++j) {
-    const std::uint32_t slice =
-        fair_thread_slice(kBudget, kJobs, /*other_running=*/j,
-                          /*queued=*/kJobs - j - 1, claimed);
-    EXPECT_EQ(slice, kBudget / kJobs) << "dispatch " << j;
-    claimed += slice;
-  }
-  EXPECT_EQ(claimed, kBudget);
-}
-
-TEST(SvcThreads, FairSliceNeverOversubscribesTheBudget) {
-  // Any pop pattern of a full queue, claims held without release: the sum
-  // stays at or under the budget (or J when the per-job floor of 1 forces
-  // more on a tiny budget).
-  for (const std::uint32_t budget : {1u, 3u, 4u, 7u, 8u, 16u, 64u}) {
-    for (const std::uint32_t jobs : {1u, 2u, 3u, 4u, 8u}) {
-      for (const std::uint32_t backlog : {0u, 1u, 2u, 20u}) {
-        std::uint32_t claimed = 0;
-        for (std::uint32_t j = 0; j < jobs; ++j) {
-          const std::uint32_t queued = backlog + (jobs - j - 1);
-          claimed += fair_thread_slice(budget, jobs, j, queued, claimed);
-        }
-        EXPECT_LE(claimed, std::max(budget, jobs))
-            << "budget=" << budget << " jobs=" << jobs << " backlog=" << backlog;
-      }
-    }
-  }
-}
-
-TEST(SvcThreads, FairSliceFloorsAtOneWhenBudgetIsClaimed) {
-  // A late arrival into a fully-claimed budget still runs (serially) rather
-  // than stalling the dispatcher.
-  EXPECT_EQ(fair_thread_slice(8, 4, /*other_running=*/1, /*queued=*/0,
-                              /*claimed=*/8),
-            1u);
-}
-
-TEST(SvcThreads, LoneServiceJobRunsWithTheFullBudget) {
-  // End-to-end: one job on an otherwise idle 3-dispatcher service gets all
-  // 6 budget threads, not the static 2-thread floor (threads_used is the
-  // worker count of the pool the flow actually ran on).
-  ServiceOptions options;
-  options.max_parallel_jobs = 3;
-  options.total_threads = 6;
-  FlowService service(options);
-  EXPECT_EQ(service.threads_per_job(), 2u);  // the floor is unchanged
-  const JobRecord record = service.wait(*service.submit(tiny_job()));
-  ASSERT_EQ(record.state, JobState::kDone);
-  EXPECT_EQ(record.outcome.metrics.threads_used, 6u);
-}
-
 // ---- run_flow_job ----------------------------------------------------------
 
 TEST(SvcRunJob, ExecutesAndReportsMetrics) {
-  const JobOutcome outcome = run_flow_job(tiny_job(), 1);
+  const JobOutcome outcome = run_flow_job(tiny_job());
   ASSERT_TRUE(outcome.status.ok()) << outcome.status.to_string();
   EXPECT_GT(outcome.metrics.num_cells, 0u);
   EXPECT_GT(outcome.metrics.wirelength_um, 0.0);
@@ -417,17 +357,8 @@ TEST(SvcRunJob, ExecutesAndReportsMetrics) {
 TEST(SvcRunJob, ParseFailureComesBackAsStatus) {
   JobSpec bad = tiny_job();
   bad.design_text = ".i banana\n";
-  const JobOutcome outcome = run_flow_job(bad, 1);
+  const JobOutcome outcome = run_flow_job(bad);
   EXPECT_EQ(outcome.status.code(), ErrorCode::kParseError);
-}
-
-TEST(SvcRunJob, ThreadCountIsBitIdentical) {
-  // The contract the cache key leans on: worker count never changes results.
-  const JobOutcome serial = run_flow_job(tiny_job(), 1);
-  const JobOutcome wide = run_flow_job(tiny_job(), 4);
-  ASSERT_TRUE(serial.status.ok());
-  ASSERT_TRUE(wide.status.ok());
-  expect_metrics_identical(serial.metrics, wide.metrics);
 }
 
 TEST(SvcRunJob, SisJobUsesTheCalibratedExtraction) {
@@ -452,7 +383,7 @@ TEST(SvcRunJob, SisJobUsesTheCalibratedExtraction) {
 TEST(SvcCache, StoreThenLookupIsBitIdentical) {
   TempDir dir("cache");
   ResultCache cache(dir.path.string());
-  const JobOutcome cold = run_flow_job(tiny_job(), 1);
+  const JobOutcome cold = run_flow_job(tiny_job());
   ASSERT_TRUE(cold.status.ok());
   const std::string key = job_cache_key(tiny_job());
   cache.store(key, cold);
@@ -740,7 +671,6 @@ TEST(SvcFlight, RecordsCompleteStoryForExecutedJob) {
   EXPECT_FALSE(flight->cache_hit);
   EXPECT_FALSE(flight->coalesced);
   EXPECT_FALSE(flight->dataset);
-  EXPECT_GE(flight->thread_slice, 1u);
   EXPECT_GT(flight->exec_seconds, 0.0);
   EXPECT_EQ(flight->cache_key, record.cache_key);
   EXPECT_EQ(flight->dataset_key, record.dataset_key);
@@ -753,7 +683,6 @@ TEST(SvcFlight, RecordsCompleteStoryForExecutedJob) {
   EXPECT_EQ(flight->num_cells, m.num_cells);
   EXPECT_EQ(flight->critical_path_ns, m.critical_path_ns);
   EXPECT_EQ(flight->routing_violations, m.routing_violations);
-  EXPECT_EQ(flight->threads_used, m.threads_used);
 
   // Router telemetry: one trajectory entry per rip-up iteration, with the
   // dirty-edge series kept in lockstep (both legitimately empty when the
@@ -846,7 +775,6 @@ TEST(SvcFlight, JsonRoundTripAndSchemaGate) {
   flight.dataset_key = "dskey";
   flight.queue_seconds = 0.25;
   flight.exec_seconds = 1.5;
-  flight.thread_slice = 4;
   flight.queue_depth_at_submit = 9;
   flight.dataset = true;
   flight.dataset_version = 12;
@@ -867,7 +795,6 @@ TEST(SvcFlight, JsonRoundTripAndSchemaGate) {
   flight.num_cells = 321;
   flight.wirelength_um = 1234.5;
   flight.routable = true;
-  flight.threads_used = 2;
   flight.events = {"one event", "two: with, punctuation"};
 
   const std::string json = flight_record_to_json(flight);
@@ -879,7 +806,6 @@ TEST(SvcFlight, JsonRoundTripAndSchemaGate) {
   EXPECT_EQ(back->run_sequence, flight.run_sequence);
   EXPECT_EQ(back->queue_seconds, flight.queue_seconds);
   EXPECT_EQ(back->exec_seconds, flight.exec_seconds);
-  EXPECT_EQ(back->thread_slice, flight.thread_slice);
   EXPECT_EQ(back->queue_depth_at_submit, flight.queue_depth_at_submit);
   EXPECT_EQ(back->dataset, flight.dataset);
   EXPECT_EQ(back->dataset_version, flight.dataset_version);

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -49,33 +48,6 @@ TEST(ThreadPool, NestedGroupsDoNotDeadlock) {
     outer.wait();
     EXPECT_EQ(leaves.load(), 64) << workers << " workers";
   }
-}
-
-TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  ThreadPool::parallel_for(&pool, 0, hits.size(), 7,
-                           [&hits](std::size_t lo, std::size_t hi) {
-                             for (std::size_t i = lo; i < hi; ++i) ++hits[i];
-                           });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForRunsInlineWithoutPool) {
-  std::vector<int> hits(100, 0);
-  ThreadPool::parallel_for(nullptr, 0, hits.size(), 8,
-                           [&hits](std::size_t lo, std::size_t hi) {
-                             for (std::size_t i = lo; i < hi; ++i) ++hits[i];
-                           });
-  EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 100);
-}
-
-TEST(ThreadPool, ParallelForEmptyRange) {
-  ThreadPool pool(2);
-  bool called = false;
-  ThreadPool::parallel_for(&pool, 5, 5, 1,
-                           [&called](std::size_t, std::size_t) { called = true; });
-  EXPECT_FALSE(called);
 }
 
 TEST(ThreadPool, HardwareThreadsIsPositive) {

@@ -31,7 +31,9 @@
 ///   --repair-passes <n>    post-route congestion repair passes (0 = off)
 ///   --repair-window <n>    repair search window radius, gcells (default 8)
 ///   --repair-max-cells <n> cells moved per repair pass (default 64)
-///   --threads <n>          worker threads (0 = hardware concurrency)
+///   --threads <n>          K points the auto search evaluates at once
+///                          (0 = one per hardware thread; a fixed --k
+///                          evaluation always runs on one thread)
 ///   --max-route-iters <n>  cap the router's rip-up-and-reroute iterations
 ///   --time-budget <sec>    per-phase wall-clock budget (degrade, don't hang)
 ///   --quiet                suppress the per-stage narration

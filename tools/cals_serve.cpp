@@ -1,7 +1,7 @@
 /// cals_serve — the batch flow daemon: polls a spool directory for job
 /// files (written by cals_submit or anything else), feeds them through a
-/// cals::svc::FlowService with admission control and a per-job thread
-/// budget, and publishes one result record per job into the spool's done/
+/// cals::svc::FlowService with admission control, one job per dispatcher
+/// thread, and publishes one result record per job into the spool's done/
 /// or failed/ directory.
 ///
 /// Usage:
@@ -9,9 +9,8 @@
 ///
 /// Options:
 ///   --capacity <n>     queued-job bound for admission control (default 64)
-///   --jobs <n>         concurrent flow executions (default 2)
-///   --threads <n>      total worker-thread budget split across jobs
-///                      (default 0 = hardware concurrency)
+///   --jobs <n>         concurrent flow executions, one dispatcher thread
+///                      each (default 2)
 ///   --retries <n>      in-process retry budget for retryable (internal)
 ///                      failures: every job may run up to n+1 attempts with
 ///                      exponential backoff + jitter (default 0 = one attempt)
@@ -106,7 +105,6 @@ struct Args {
   std::string spool_dir;
   std::size_t capacity = 64;
   std::uint32_t jobs = 2;
-  std::uint32_t threads = 0;
   std::uint32_t retries = 0;
   std::uint32_t max_attempts = 3;
   double deadline_s = 0.0;
@@ -144,7 +142,6 @@ Args parse(int argc, char** argv) {
     if (std::strcmp(a, "--spool") == 0) args.spool_dir = need(i);
     else if (std::strcmp(a, "--capacity") == 0) args.capacity = need_u32(i);
     else if (std::strcmp(a, "--jobs") == 0) args.jobs = std::max(1u, need_u32(i));
-    else if (std::strcmp(a, "--threads") == 0) args.threads = need_u32(i);
     else if (std::strcmp(a, "--retries") == 0) args.retries = need_u32(i);
     else if (std::strcmp(a, "--max-attempts") == 0)
       args.max_attempts = std::max(1u, need_u32(i));
@@ -246,7 +243,6 @@ int serve(const Args& args) {
   svc::ServiceOptions service_options;
   service_options.queue_capacity = args.capacity;
   service_options.max_parallel_jobs = args.jobs;
-  service_options.total_threads = args.threads;
   service_options.cache = cache.get();
   service_options.datasets = datasets.get();
   service_options.journal = &journal;
@@ -273,8 +269,8 @@ int serve(const Args& args) {
         "(/metrics /jobs /jobs/<id> /healthz)\n",
         static_cast<unsigned>(telemetry.port()));
   }
-  say("cals_serve: spool %s, capacity %zu, %u parallel jobs x %u threads%s%s\n",
-      args.spool_dir.c_str(), args.capacity, args.jobs, service.threads_per_job(),
+  say("cals_serve: spool %s, capacity %zu, %u parallel jobs%s%s\n",
+      args.spool_dir.c_str(), args.capacity, args.jobs,
       cache ? strprintf(", cache %s", args.cache_dir.c_str()).c_str() : "",
       datasets ? strprintf(", datasets %s (%zu loaded)", args.dataset_dir.c_str(),
                            datasets->num_datasets())

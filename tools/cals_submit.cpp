@@ -112,10 +112,10 @@ void print_flight_summary(const svc::SpoolPaths& spool, const std::string& stem)
                             static_cast<unsigned long long>(f.dataset_version));
   std::printf(
       "flight: queue %.0fms, exec %.0fms (map %.0f / place %.0f / route %.0f / "
-      "sta %.0f ms), %u route iters, %s, %u threads\n",
+      "sta %.0f ms), %u route iters, %s\n",
       f.queue_seconds * 1e3, f.exec_seconds * 1e3, f.map_seconds * 1e3,
       f.place_seconds * 1e3, f.route_seconds * 1e3, f.sta_seconds * 1e3,
-      f.route_iterations(), provenance.c_str(), f.threads_used);
+      f.route_iterations(), provenance.c_str());
   if (f.rcm_passes > 0)
     std::printf("repair: %u pass(es), %u cell(s) moved, overflow removed %llu\n",
                 f.rcm_passes, f.rcm_cells_moved,

@@ -37,7 +37,6 @@ FLIGHT_REQUIRED = {
     "dataset_key": str,
     "queue_seconds": (int, float),
     "exec_seconds": (int, float),
-    "thread_slice": (int,),
     "queue_depth_at_submit": (int,),
     "cache_hit": bool,
     "coalesced": bool,
@@ -62,7 +61,6 @@ FLIGHT_REQUIRED = {
     "wirelength_um": (int, float),
     "routing_violations": (int,),
     "routable": bool,
-    "threads_used": (int,),
 }
 FLIGHT_TERMINAL_STATES = {"done", "failed", "cancelled"}
 
