@@ -112,6 +112,12 @@ Result<Library> parse_genlib_impl(std::istream& in) {
             strprintf("genlib: cell %s: %s", c.name.c_str(),
                       pattern.status().message().c_str()),
             expr_line);
+      // A bare variable covers no base gate: its match would have nothing to
+      // place (and no center of mass).
+      if (pattern->num_gates() == 0)
+        return Status::parse_error(
+            strprintf("genlib: cell %s: pattern has no INV or NAND gate", c.name.c_str()),
+            expr_line);
       if (!patterns.empty() && pattern->num_vars() != patterns.front().num_vars())
         return Status::parse_error(
             strprintf("genlib: cell %s: ALT pattern has %u pins, CELL has %u",

@@ -135,6 +135,9 @@ Result<Pattern> Pattern::from_parts(std::vector<PatternNode> nodes, std::int32_t
   }
   if (referenced[static_cast<std::size_t>(root)] != 0)
     return bad("pattern: root must not be a child");
+  // In a tree, a variable root is the whole pattern: it covers no gate.
+  if (nodes[static_cast<std::size_t>(root)].kind == PatternKind::kVar)
+    return bad("pattern: no INV or NAND gate");
 
   // Single-parent + acyclic-from-root: walk from the root counting reachable
   // nodes and bounding depth at the parser's cap so the recursive

@@ -40,7 +40,8 @@ class Pattern {
   /// first appearance and break bit-identity with the packed library).
   /// Validates tree shape: every non-root node is referenced exactly once,
   /// all nodes reachable from the root, depth <= 64 (the parser's cap), leaf
-  /// vars cover [0, num_vars) exactly. Returns kParseError on violations.
+  /// vars cover [0, num_vars) exactly, at least one INV or NAND node (a
+  /// genlib cell needs one). Returns kParseError on violations.
   static Result<Pattern> from_parts(std::vector<PatternNode> nodes, std::int32_t root,
                                     std::uint32_t num_vars);
 

@@ -25,10 +25,9 @@ struct CoverTally {
 /// the pin roots a subtree that belongs to this DP accumulation. Pins whose
 /// father lies elsewhere (tree-leaf references, reconvergent reads, PIs) are
 /// inputs only: their area/wire is charged where they are internal.
-bool pin_in_subtree(const SubjectForest& forest, const Match& match, NodeId pin) {
-  const NodeId father = forest.father[pin.v];
-  return std::find(match.covered.begin(), match.covered.end(), father) !=
-         match.covered.end();
+bool pin_in_subtree(const SubjectForest& forest, std::span<const NodeId> covered,
+                    NodeId pin) {
+  return std::find(covered.begin(), covered.end(), forest.father[pin.v]) != covered.end();
 }
 
 /// The Eq. 1–5 best-match selection for one vertex. Reads only cover entries
@@ -71,7 +70,7 @@ VertexCover cover_vertex(const BaseNetwork& net, const SubjectForest& forest,
       }
     }
     for (NodeId pin : match.pins) {
-      const bool in_subtree = net.is_gate(pin) && pin_in_subtree(forest, match, pin);
+      const bool in_subtree = net.is_gate(pin) && pin_in_subtree(forest, match.covered, pin);
       const VertexCover& pin_cover = cover[pin.v];
       // Fanin position: the memoized center of the pin's chosen match for
       // gates, the pad/base position otherwise.
@@ -230,85 +229,99 @@ MatchSet build_match_set(const BaseNetwork& net, const SubjectForest& forest,
                          const Matcher& matcher, const Library& library,
                          const std::vector<Point>& positions) {
   CALS_CHECK(positions.size() == net.num_nodes());
-  MatchSet set;
-  // The Match vectors are a build-side temporary: everything the DP and the
-  // realizer need is flattened into the CSR arrays below.
-  std::vector<std::vector<Match>> at(net.num_nodes());
-  for (std::uint32_t i = 0; i < net.num_nodes(); ++i) {
-    const NodeId v{i};
-    if (forest.in_tree(v)) at[i] = matcher.matches_at(v);
-  }
-
-  // Flatten the K-independent inputs of the pricing loop into the SoA view.
-  // Slot order is exactly the (node, match) order of `at`; pin, dup, and
-  // covered entries keep their within-match order, so the kernel's
-  // accumulation order — and with it every double — matches the AoS loop bit
-  // for bit, and materialize() rebuilds Matches byte-identical to the
-  // matcher's.
-  set.first.assign(net.num_nodes() + 1, 0);
-  std::size_t slots = 0;
-  std::size_t pin_entries = 0;
-  std::size_t dup_entries = 0;
-  std::size_t cov_entries = 0;
-  for (std::uint32_t i = 0; i < net.num_nodes(); ++i) {
-    set.first[i] = static_cast<std::uint32_t>(slots);
-    slots += at[i].size();
-    for (const Match& match : at[i]) {
-      pin_entries += match.pins.size();
-      cov_entries += match.covered.size();
-      for (NodeId w : match.covered)
-        if (!(w == NodeId{i}) && net.fanout_count(w) > 1) ++dup_entries;
-    }
-  }
-  set.first[net.num_nodes()] = static_cast<std::uint32_t>(slots);
-  set.match_pos.reserve(slots);
-  set.cell_area.reserve(slots);
-  set.cell.reserve(slots);
-  set.pattern_index.reserve(slots);
-  set.pin_first.reserve(slots + 1);
-  set.dup_first.reserve(slots + 1);
-  set.cov_first.reserve(slots + 1);
-  set.pin_node.reserve(pin_entries);
-  set.pin_flags.reserve(pin_entries);
-  set.pin_pos.reserve(pin_entries);
-  set.dup_node.reserve(dup_entries);
-  set.cov_node.reserve(cov_entries);
-
+  // Each match's K-independent pricing inputs go straight into the SoA
+  // arrays. Slot order is (node, cell, pattern), as matches_at lists them;
+  // pin, dup and covered entries keep their within-match order, so the
+  // kernel's accumulation order — and with it every double — matches the
+  // Match-based loop bit for bit, and materialize() rebuilds Matches
+  // byte-identical to the matcher's.
+  const std::uint32_t n = net.num_nodes();
+  std::vector<std::uint32_t> first(n + 1);
+  std::vector<Point> match_pos;
+  std::vector<double> cell_area;
+  std::vector<CellId> cell;
+  std::vector<std::uint32_t> pattern_index;
+  std::vector<std::uint32_t> pin_first;
+  std::vector<std::uint32_t> dup_first;
+  std::vector<std::uint32_t> cov_first;
+  std::vector<std::uint32_t> pin_node;
+  std::vector<std::uint8_t> pin_flags;
+  std::vector<Point> pin_pos;
+  std::vector<std::uint32_t> dup_node;
+  std::vector<std::uint32_t> cov_node;
   std::vector<Point> covered_points;
-  for (std::uint32_t i = 0; i < net.num_nodes(); ++i) {
+  // Sized for the core library's density (per tree vertex: up to ~2.8
+  // slots, ~6.5 pin, ~7.7 covered and ~0.4 duplication entries), so the
+  // arrays rarely grow.
+  std::size_t tree_vertices = 0;
+  for (const SubjectTree& tree : forest.trees) tree_vertices += tree.vertices.size();
+  const std::size_t slot_hint = 3 * tree_vertices + 1;
+  for (auto* slot_array : {&pattern_index, &pin_first, &dup_first, &cov_first})
+    slot_array->reserve(slot_hint);
+  match_pos.reserve(slot_hint);
+  cell_area.reserve(slot_hint);
+  cell.reserve(slot_hint);
+  pin_node.reserve(7 * tree_vertices);
+  pin_flags.reserve(7 * tree_vertices);
+  pin_pos.reserve(7 * tree_vertices);
+  cov_node.reserve(8 * tree_vertices);
+  dup_node.reserve(tree_vertices / 2);
+  const auto offset = [](const auto& entries) {
+    return static_cast<std::uint32_t>(entries.size());
+  };
+  for (std::uint32_t i = 0; i < n; ++i) {
+    first[i] = offset(cell);
     const NodeId v{i};
-    for (const Match& match : at[i]) {
-      set.pin_first.push_back(static_cast<std::uint32_t>(set.pin_node.size()));
-      set.dup_first.push_back(static_cast<std::uint32_t>(set.dup_node.size()));
-      set.cov_first.push_back(static_cast<std::uint32_t>(set.cov_node.size()));
+    if (!forest.in_tree(v)) continue;
+    matcher.for_each_match(v, [&](CellId match_cell, std::uint32_t pattern,
+                                  std::span<const NodeId> pins,
+                                  std::span<const NodeId> covered) {
+      pin_first.push_back(offset(pin_node));
+      dup_first.push_back(offset(dup_node));
+      cov_first.push_back(offset(cov_node));
       // pos(m,v) exactly as cover_vertex computes it: unweighted center of
       // mass of the covered base gates, in discovery order.
       covered_points.clear();
-      for (NodeId w : match.covered) covered_points.push_back(positions[w.v]);
-      set.match_pos.push_back(center_of_mass(covered_points));
-      set.cell_area.push_back(library.cell(match.cell).area());
-      set.cell.push_back(match.cell);
-      set.pattern_index.push_back(match.pattern_index);
-      for (NodeId w : match.covered) {
-        set.cov_node.push_back(w.v);
-        if (!(w == v) && net.fanout_count(w) > 1) set.dup_node.push_back(w.v);
+      for (NodeId w : covered) covered_points.push_back(positions[w.v]);
+      match_pos.push_back(center_of_mass(covered_points));
+      cell_area.push_back(library.cell(match_cell).area());
+      cell.push_back(match_cell);
+      pattern_index.push_back(pattern);
+      for (NodeId w : covered) {
+        cov_node.push_back(w.v);
+        if (!(w == v) && net.fanout_count(w) > 1) dup_node.push_back(w.v);
       }
-      for (NodeId pin : match.pins) {
+      for (NodeId pin : pins) {
         std::uint8_t flags = 0;
         if (net.is_gate(pin)) {
           flags |= MatchSet::kPinIsGate;
-          if (pin_in_subtree(forest, match, pin)) flags |= MatchSet::kPinInSubtree;
+          if (pin_in_subtree(forest, covered, pin)) flags |= MatchSet::kPinInSubtree;
         }
-        set.pin_node.push_back(pin.v);
-        set.pin_flags.push_back(flags);
-        set.pin_pos.push_back(positions[pin.v]);
+        pin_node.push_back(pin.v);
+        pin_flags.push_back(flags);
+        pin_pos.push_back(positions[pin.v]);
       }
-    }
+    });
   }
-  set.pin_first.push_back(static_cast<std::uint32_t>(set.pin_node.size()));
-  set.dup_first.push_back(static_cast<std::uint32_t>(set.dup_node.size()));
-  set.cov_first.push_back(static_cast<std::uint32_t>(set.cov_node.size()));
+  first[n] = offset(cell);
+  pin_first.push_back(offset(pin_node));
+  dup_first.push_back(offset(dup_node));
+  cov_first.push_back(offset(cov_node));
 
+  MatchSet set;
+  set.first = VecOrView<std::uint32_t>(std::move(first));
+  set.match_pos = VecOrView<Point>(std::move(match_pos));
+  set.cell_area = VecOrView<double>(std::move(cell_area));
+  set.cell = VecOrView<CellId>(std::move(cell));
+  set.pattern_index = VecOrView<std::uint32_t>(std::move(pattern_index));
+  set.pin_first = VecOrView<std::uint32_t>(std::move(pin_first));
+  set.dup_first = VecOrView<std::uint32_t>(std::move(dup_first));
+  set.cov_first = VecOrView<std::uint32_t>(std::move(cov_first));
+  set.pin_node = VecOrView<std::uint32_t>(std::move(pin_node));
+  set.pin_flags = VecOrView<std::uint8_t>(std::move(pin_flags));
+  set.pin_pos = VecOrView<Point>(std::move(pin_pos));
+  set.dup_node = VecOrView<std::uint32_t>(std::move(dup_node));
+  set.cov_node = VecOrView<std::uint32_t>(std::move(cov_node));
   return set;
 }
 

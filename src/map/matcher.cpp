@@ -5,21 +5,44 @@
 namespace cals {
 
 Matcher::Matcher(const BaseNetwork& net, const SubjectForest& forest, const Library& library)
-    : net_(net), forest_(forest), library_(library) {}
+    : net_(net), forest_(forest) {
+  // A pattern whose root is an INV (NAND2) node can only match an INV
+  // (NAND2) vertex; a variable root binds any vertex. Grouping once keeps
+  // the library order within each list, so enumeration order is unchanged.
+  for (std::uint32_t c = 0; c < library.num_cells(); ++c) {
+    const Cell& cell = library.cell(CellId{c});
+    for (std::uint32_t pi = 0; pi < cell.patterns().size(); ++pi) {
+      const Pattern& pattern = cell.patterns()[pi];
+      const Candidate candidate{CellId{c}, pi, &pattern};
+      switch (pattern.root_kind()) {
+        case PatternKind::kVar:
+          for (auto& list : by_vertex_kind_) list.push_back(candidate);
+          break;
+        case PatternKind::kInv: by_vertex_kind_[1].push_back(candidate); break;
+        case PatternKind::kNand2: by_vertex_kind_[2].push_back(candidate); break;
+      }
+    }
+  }
+}
 
-bool Matcher::match_node(const Pattern& pattern, std::int32_t pnode, NodeId vertex,
-                         NodeId parent, bool is_root, std::vector<NodeId>& binding,
-                         std::vector<std::int32_t>& bound_trail,
-                         std::vector<NodeId>& covered) const {
-  const PatternNode& p = pattern.nodes()[static_cast<std::size_t>(pnode)];
+bool Matcher::match_root(const Pattern& pattern, NodeId v) const {
+  binding_.assign(pattern.num_vars(), kConst0Node);
+  trail_.clear();
+  covered_.clear();
+  return match_node(pattern.nodes().data(), pattern.root(), v, kConst0Node, true);
+}
+
+bool Matcher::match_node(const PatternNode* nodes, std::int32_t pnode, NodeId vertex,
+                         NodeId parent, bool is_root) const {
+  const PatternNode& p = nodes[pnode];
 
   if (p.kind == PatternKind::kVar) {
     // Variables bind to any signal source: PI, const1, or another gate.
     if (vertex == kConst0Node) return false;  // const0 is never a real signal here
-    NodeId& slot = binding[static_cast<std::size_t>(p.var)];
+    NodeId& slot = binding_[static_cast<std::size_t>(p.var)];
     if (slot == kConst0Node) {
       slot = vertex;
-      bound_trail.push_back(p.var);
+      trail_.push_back(p.var);
       return true;
     }
     return slot == vertex;
@@ -30,42 +53,36 @@ bool Matcher::match_node(const Pattern& pattern, std::int32_t pnode, NodeId vert
   if (!net_.is_gate(vertex)) return false;
   if (!is_root && !forest_.is_father(parent, vertex)) return false;
 
-  const std::size_t covered_mark = covered.size();
-  const std::size_t trail_mark = bound_trail.size();
+  const std::size_t covered_mark = covered_.size();
+  const std::size_t trail_mark = trail_.size();
   auto undo = [&]() {
-    covered.resize(covered_mark);
-    while (bound_trail.size() > trail_mark) {
-      binding[static_cast<std::size_t>(bound_trail.back())] = kConst0Node;
-      bound_trail.pop_back();
+    covered_.resize(covered_mark);
+    while (trail_.size() > trail_mark) {
+      binding_[static_cast<std::size_t>(trail_.back())] = kConst0Node;
+      trail_.pop_back();
     }
   };
 
   if (p.kind == PatternKind::kInv) {
     if (net_.kind(vertex) != NodeKind::kInv) return false;
-    covered.push_back(vertex);
-    if (match_node(pattern, p.child0, net_.fanin0(vertex), vertex, false, binding,
-                   bound_trail, covered))
-      return true;
+    covered_.push_back(vertex);
+    if (match_node(nodes, p.child0, net_.fanin0(vertex), vertex, false)) return true;
     undo();
     return false;
   }
 
   CALS_CHECK(p.kind == PatternKind::kNand2);
   if (net_.kind(vertex) != NodeKind::kNand2) return false;
-  covered.push_back(vertex);
+  covered_.push_back(vertex);
   // Try both operand orders (NAND is commutative; the subject is stored in
   // canonical fanin order, patterns are not).
-  if (match_node(pattern, p.child0, net_.fanin0(vertex), vertex, false, binding,
-                 bound_trail, covered) &&
-      match_node(pattern, p.child1, net_.fanin1(vertex), vertex, false, binding,
-                 bound_trail, covered))
+  if (match_node(nodes, p.child0, net_.fanin0(vertex), vertex, false) &&
+      match_node(nodes, p.child1, net_.fanin1(vertex), vertex, false))
     return true;
   undo();
-  covered.push_back(vertex);
-  if (match_node(pattern, p.child0, net_.fanin1(vertex), vertex, false, binding,
-                 bound_trail, covered) &&
-      match_node(pattern, p.child1, net_.fanin0(vertex), vertex, false, binding,
-                 bound_trail, covered))
+  covered_.push_back(vertex);
+  if (match_node(nodes, p.child0, net_.fanin1(vertex), vertex, false) &&
+      match_node(nodes, p.child1, net_.fanin0(vertex), vertex, false))
     return true;
   undo();
   return false;
@@ -73,40 +90,11 @@ bool Matcher::match_node(const Pattern& pattern, std::int32_t pnode, NodeId vert
 
 std::vector<Match> Matcher::matches_at(NodeId v) const {
   std::vector<Match> result;
-  // Scratch hoisted out of the (cell, pattern) loops: the recursion resets
-  // bindings via the trail on failure, so reuse only needs a per-pattern
-  // assign/clear instead of three allocations per attempt.
-  std::vector<NodeId> binding;
-  std::vector<std::int32_t> trail;
-  std::vector<NodeId> covered;
-  const bool v_is_gate = net_.is_gate(v);
-  const NodeKind v_kind = v_is_gate ? net_.kind(v) : NodeKind::kPi;
-  for (std::uint32_t c = 0; c < library_.num_cells(); ++c) {
-    const Cell& cell = library_.cell(CellId{c});
-    for (std::uint32_t pi = 0; pi < cell.patterns().size(); ++pi) {
-      const Pattern& pattern = cell.patterns()[pi];
-      // Root-kind precheck: match_node would reject the root immediately on
-      // a kind mismatch, so skip before touching the scratch at all.
-      const PatternKind rk = pattern.root_kind();
-      if (rk != PatternKind::kVar) {
-        if (!v_is_gate) continue;
-        if (rk == PatternKind::kInv && v_kind != NodeKind::kInv) continue;
-        if (rk == PatternKind::kNand2 && v_kind != NodeKind::kNand2) continue;
-      }
-      binding.assign(pattern.num_vars(), kConst0Node);
-      trail.clear();
-      covered.clear();
-      if (match_node(pattern, pattern.root(), v, kConst0Node, true, binding, trail,
-                     covered)) {
-        Match match;
-        match.cell = CellId{c};
-        match.pattern_index = pi;
-        match.pins = binding;
-        match.covered = covered;
-        result.push_back(std::move(match));
-      }
-    }
-  }
+  for_each_match(v, [&result](CellId cell, std::uint32_t pattern_index,
+                              std::span<const NodeId> pins, std::span<const NodeId> covered) {
+    result.push_back(Match{cell, pattern_index, {pins.begin(), pins.end()},
+                           {covered.begin(), covered.end()}});
+  });
   return result;
 }
 

@@ -1,6 +1,7 @@
 #include "netlist/base_network.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "util/check.hpp"
 
@@ -264,7 +265,14 @@ std::vector<std::uint32_t> BaseNetwork::compact() {
     }
   }
 
+  // With every node live the rebuild below reproduces the network node for
+  // node: each fold and strash decision depends only on the nodes before it,
+  // which are unchanged. Skip it.
   std::vector<std::uint32_t> remap(n, kDead);
+  if (std::find(live.begin(), live.end(), false) == live.end()) {
+    std::iota(remap.begin(), remap.end(), 0u);
+    return remap;
+  }
   BaseNetwork out;
   // Node 0 (const0) already exists in `out`.
   remap[kConst0Node.v] = kConst0Node.v;

@@ -137,7 +137,8 @@ class BaseNetwork {
   // ----- maintenance ----------------------------------------------------
   /// Removes nodes unreachable from the primary outputs, renumbering the
   /// survivors in topological order. Returns old-id -> new-id map
-  /// (UINT32_MAX for removed nodes). Invalidates fanouts.
+  /// (UINT32_MAX for removed nodes). Invalidates fanouts, unless no node is
+  /// dead: then the network is left as it is and the map is the identity.
   std::vector<std::uint32_t> compact();
 
  private:

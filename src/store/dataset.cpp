@@ -405,24 +405,21 @@ Result<std::shared_ptr<MatchDatabase>> read_match_db(const SectionRange& sec,
     return bad("matchdb", "bad covered rows");
   if (!ids_below(m.pin_node, n) || !ids_below(m.dup_node, n) || !ids_below(m.cov_node, n))
     return bad("matchdb", "entry node out of range");
-  // Read through a const alias: the mutable VecOrView operator[] is an
-  // owning-mode-only accessor and aborts on views.
-  const MatchSet& cm = m;
-  for (const std::uint8_t flags : cm.pin_flags)
+  for (const std::uint8_t flags : m.pin_flags)
     if (flags > (MatchSet::kPinIsGate | MatchSet::kPinInSubtree))
       return bad("matchdb", "bad pin flags");
   for (std::uint64_t s = 0; s < slots; ++s) {
-    const CellId cell = cm.cell[s];
+    const CellId cell = m.cell[s];
     if (cell.v >= lib.num_cells()) return bad("matchdb", "cell id out of range");
-    if (cm.pattern_index[s] >= lib.cell(cell).patterns().size())
+    if (m.pattern_index[s] >= lib.cell(cell).patterns().size())
       return bad("matchdb", "pattern index out of range");
-    if (cm.cell_area[s] != lib.cell(cell).area())
+    if (m.cell_area[s] != lib.cell(cell).area())
       return bad("matchdb", "slot area disagrees with library");
   }
   // The covering DP asserts every in-tree vertex has at least one candidate.
   for (const SubjectTree& tree : forest.trees)
     for (const NodeId v : tree.vertices)
-      if (cm.first[v.v] == cm.first[v.v + 1])
+      if (m.first[v.v] == m.first[v.v + 1])
         return bad("matchdb", "in-tree vertex with no matches");
   return db;
 }

@@ -2,16 +2,15 @@
 /// \file vec_view.hpp
 /// A sequence that is either an owning std::vector or a read-only view over
 /// externally owned memory (a section of an mmap-ed dataset blob). Build
-/// paths use the owning mutators exactly like a vector; the dataset loader
-/// aliases the mapped bytes with view() so cold-serving a precompiled blob
-/// copies nothing. Element types must be trivially copyable — views
-/// reinterpret raw bytes.
+/// paths fill a std::vector and move it in; the dataset loader aliases the
+/// mapped bytes with view() so cold-serving a precompiled blob copies
+/// nothing. Either way the sequence is read-only. Element types must be
+/// trivially copyable — views reinterpret raw bytes.
 
 #include <cstddef>
 #include <type_traits>
+#include <utility>
 #include <vector>
-
-#include "util/check.hpp"
 
 namespace cals {
 
@@ -22,6 +21,8 @@ class VecOrView {
 
  public:
   VecOrView() = default;
+  /// Takes ownership of a filled vector.
+  explicit VecOrView(std::vector<T> owned) : own_(std::move(owned)) { sync(); }
 
   /// A read-only alias of [data, data + size); the caller keeps the bytes
   /// alive for the lifetime of the view (LoadedDataset holds the mapping).
@@ -44,39 +45,6 @@ class VecOrView {
     return *this;
   }
 
-  // ---- owning mutators (abort on views) ----------------------------------
-  void push_back(const T& value) {
-    CALS_CHECK(!is_view_);
-    own_.push_back(value);
-    sync();
-  }
-  void reserve(std::size_t n) {
-    CALS_CHECK(!is_view_);
-    own_.reserve(n);
-    sync();
-  }
-  void resize(std::size_t n) {
-    CALS_CHECK(!is_view_);
-    own_.resize(n);
-    sync();
-  }
-  void assign(std::size_t n, const T& value) {
-    CALS_CHECK(!is_view_);
-    own_.assign(n, value);
-    sync();
-  }
-  void clear() {
-    CALS_CHECK(!is_view_);
-    own_.clear();
-    sync();
-  }
-  /// Mutable element access (owning mode only).
-  T& operator[](std::size_t i) {
-    CALS_CHECK(!is_view_);
-    return own_[i];
-  }
-
-  // ---- read access (both modes) ------------------------------------------
   const T& operator[](std::size_t i) const { return data_[i]; }
   const T* data() const { return data_; }
   std::size_t size() const { return size_; }

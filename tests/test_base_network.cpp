@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "flow/baselines.hpp"
 #include "netlist/base_network.hpp"
+#include "netlist/blif.hpp"
 #include "util/strings.hpp"
+#include "workloads/presets.hpp"
 
 namespace cals {
 namespace {
@@ -131,6 +136,63 @@ TEST(BaseNetwork, CompactPreservesPiNamesAndPos) {
   EXPECT_EQ(net.pi_name(net.pis()[0]), "alpha");
   EXPECT_EQ(net.pi_name(net.pis()[1]), "beta");
   EXPECT_EQ(net.pos()[0].name, "out");
+}
+
+/// Every node of `want` keeps its id, kind and fanins in `net` (which may
+/// hold nothing else), and the PIs and POs are unchanged.
+void expect_same_nodes(const BaseNetwork& net, const std::vector<std::uint32_t>& remap,
+                       const BaseNetwork& want) {
+  ASSERT_EQ(net.num_nodes(), want.num_nodes());
+  for (std::uint32_t i = 0; i < want.num_nodes(); ++i) {
+    ASSERT_EQ(remap[i], i);
+    const NodeId n{i};
+    ASSERT_EQ(net.kind(n), want.kind(n)) << "node " << i;
+    ASSERT_EQ(net.fanin0(n), want.fanin0(n)) << "node " << i;
+    ASSERT_EQ(net.fanin1(n), want.fanin1(n)) << "node " << i;
+  }
+  EXPECT_EQ(net.num_base_gates(), want.num_base_gates());
+  EXPECT_EQ(net.num_nand2(), want.num_nand2());
+  ASSERT_EQ(net.pis(), want.pis());
+  for (const NodeId pi : net.pis()) EXPECT_EQ(net.pi_name(pi), want.pi_name(pi));
+  ASSERT_EQ(net.pos().size(), want.pos().size());
+  for (std::size_t o = 0; o < net.pos().size(); ++o) {
+    EXPECT_EQ(net.pos()[o].name, want.pos()[o].name);
+    EXPECT_EQ(net.pos()[o].driver, want.pos()[o].driver);
+  }
+}
+
+/// Compacts a compacted network again: as it is (every node live, so the
+/// map is the identity), and with one dead gate appended, which forces the
+/// rebuild. The rebuild reproduces the live nodes node for node, which is
+/// why compact() may skip it when nothing is dead.
+void expect_compact_is_identity(const BaseNetwork& compacted) {
+  BaseNetwork again = compacted;
+  const std::vector<std::uint32_t> remap = again.compact();
+  ASSERT_EQ(remap.size(), compacted.num_nodes());
+  expect_same_nodes(again, remap, compacted);
+
+  BaseNetwork with_dead = compacted;
+  const NodeId dead =
+      with_dead.add_nand2(with_dead.pis().front(), NodeId{with_dead.num_nodes() - 1});
+  ASSERT_EQ(dead.v, compacted.num_nodes()) << "the appended gate must be new";
+  const std::vector<std::uint32_t> rebuilt = with_dead.compact();
+  ASSERT_EQ(rebuilt.size(), compacted.num_nodes() + 1);
+  EXPECT_EQ(rebuilt[dead.v], UINT32_MAX);
+  expect_same_nodes(with_dead, rebuilt, compacted);
+}
+
+TEST(BaseNetwork, CompactingACompactedNetworkIsTheIdentity) {
+  for (const auto make : {&workloads::spla_like, &workloads::pdc_like,
+                          &workloads::too_large_like}) {
+    const Pla pla = make(0.1);
+    expect_compact_is_identity(synthesize_base(pla));
+    expect_compact_is_identity(
+        synthesize_sis_mode(pla, nullptr, workloads::sis_extract_options()));
+  }
+  BlifModel blif =
+      parse_blif_file(std::string(CALS_TEST_CORPUS_DIR) + "/blif/seed_ok.blif").value_or_die();
+  blif.network.compact();
+  expect_compact_is_identity(blif.network);
 }
 
 TEST(BaseNetwork, RenamePo) {

@@ -111,6 +111,23 @@ ALT NAND(b,a)
   EXPECT_EQ(lib.cell(lib.cell_id("ND2")).patterns().size(), 2u);
 }
 
+TEST(Genlib, RejectsPatternsWithoutAGate) {
+  // A bare variable covers no base gate; as a CELL or as an ALT of a buffer
+  // it is a parse error naming the cell and the line.
+  const std::string head =
+      "LIBRARY w\nTECH 0.5 5.0 1.0 4 0.2 0.1\n"
+      "CELL INVX 4.0 0.05 0.01 1.5 INV(a)\nCELL ND2 6.0 0.06 0.01 2.0 NAND(a,b)\n";
+  for (const std::string& tail : {std::string("CELL WIRE 1.0 0.01 0.01 1.0 a\n"),
+                                 std::string("CELL BUF 2.0 0.01 0.01 1.0 INV(INV(a))\nALT a\n")}) {
+    const Result<Library> lib = parse_genlib_string(head + tail);
+    ASSERT_FALSE(lib.ok()) << tail;
+    EXPECT_EQ(lib.status().code(), ErrorCode::kParseError);
+    EXPECT_NE(lib.status().message().find("no INV or NAND gate"), std::string::npos);
+    EXPECT_NE(lib.status().message().find(tail.substr(5, 3)), std::string::npos);
+    EXPECT_GT(lib.status().line(), 4u);
+  }
+}
+
 TEST(GenlibDeath, AltBeforeCellAborts) {
   EXPECT_DEATH(read_genlib_string("LIBRARY x\nALT INV(a)\n"), "ALT before");
 }

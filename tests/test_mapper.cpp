@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "flow/baselines.hpp"
+#include "flow/flow.hpp"
 #include "library/corelib.hpp"
+#include "library/genlib.hpp"
 #include "map/mapper.hpp"
 #include "timing/sta.hpp"
 #include "netlist/sim.hpp"
+#include "util/fnv.hpp"
 #include "util/rng.hpp"
 #include "workloads/plagen.hpp"
+#include "workloads/presets.hpp"
 
 namespace cals {
 namespace {
@@ -264,6 +270,125 @@ TEST(Mapper, DelayObjectiveCorrectAndShallower) {
   expect_equivalent(net, by_delay.netlist, 23);
   // Delay mapping pays area for speed.
   EXPECT_GE(by_delay.stats.cell_area, by_area.stats.cell_area * 0.999);
+}
+
+TEST(MatchSet, SlotsMaterializeTheMatcherReferenceMatches) {
+  // build_match_set streams the enumeration into flat arrays; matches_at
+  // lists the same enumeration as Match objects. Slot for slot they agree.
+  const Library lib = lib::make_corelib();
+  for (const bool sis_mode : {false, true}) {
+    const BaseNetwork net = random_circuit(41, sis_mode);
+    const auto positions = jitter_positions(net, 41);
+    for (const PartitionStrategy strategy :
+         {PartitionStrategy::kDagon, PartitionStrategy::kCones,
+          PartitionStrategy::kPlacementDriven}) {
+      const SubjectForest forest = partition_dag(net, strategy, positions);
+      const Matcher matcher(net, forest, lib);
+      const MatchSet set = build_match_set(net, forest, matcher, lib, positions);
+      ASSERT_EQ(set.first.size(), net.num_nodes() + 1);
+      for (std::uint32_t i = 0; i < net.num_nodes(); ++i) {
+        const NodeId v{i};
+        const std::vector<Match> expected =
+            forest.in_tree(v) ? matcher.matches_at(v) : std::vector<Match>{};
+        ASSERT_EQ(set.slots_end(v) - set.slots_begin(v), expected.size()) << "node " << i;
+        for (std::uint32_t k = 0; k < expected.size(); ++k) {
+          const Match got = set.materialize(set.slots_begin(v) + k);
+          EXPECT_EQ(got.cell, expected[k].cell);
+          EXPECT_EQ(got.pattern_index, expected[k].pattern_index);
+          EXPECT_EQ(got.pins, expected[k].pins);
+          EXPECT_EQ(got.covered, expected[k].covered);
+        }
+      }
+    }
+  }
+}
+
+// ---- golden match databases -------------------------------------------------
+// FNV-1a over every MatchSet array (length, then raw bytes), in declaration
+// order. Any change to the slot order, the pin/covered/duplication order or
+// the summation order of a center of mass changes these digests.
+
+std::uint64_t match_set_digest(const MatchSet& m) {
+  Fnv64 h;
+  const auto add = [&h](const auto& array) {
+    const std::uint64_t size = array.size();
+    h.update(&size, sizeof size);
+    h.update(array.data(), array.size() * sizeof(*array.data()));
+  };
+  add(m.first);
+  add(m.match_pos);
+  add(m.cell_area);
+  add(m.cell);
+  add(m.pattern_index);
+  add(m.pin_first);
+  add(m.dup_first);
+  add(m.cov_first);
+  add(m.pin_node);
+  add(m.pin_flags);
+  add(m.pin_pos);
+  add(m.dup_node);
+  add(m.cov_node);
+  return h.digest();
+}
+
+std::string hex(std::uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "0x%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
+/// The match databases of one preset at x0.1, on the base placement a
+/// DesignContext computes for it.
+std::vector<std::uint64_t> preset_match_digests(const Pla& pla, const Library& lib,
+                                                const std::vector<PartitionStrategy>& strategies) {
+  BaseNetwork net = synthesize_base(pla);
+  const Floorplan fp = Floorplan::for_cell_area(net.num_base_gates() * 5.3, 0.58, lib.tech());
+  const DesignContext context(std::move(net), &lib, fp);
+  std::vector<std::uint64_t> digests;
+  for (const PartitionStrategy strategy : strategies)
+    digests.push_back(match_set_digest(
+        build_match_database(context.network(), lib, context.node_positions(), strategy)
+            .matches));
+  return digests;
+}
+
+struct PresetCase {
+  const char* name;
+  Pla (*make)(double);
+};
+const PresetCase kPresets[] = {{"spla", &workloads::spla_like},
+                               {"pdc", &workloads::pdc_like},
+                               {"too_large", &workloads::too_large_like}};
+
+TEST(MatchSetGolden, PresetsUnderEveryPartitionStrategy) {
+  const Library lib = lib::make_corelib();
+  // Per preset: dagon, cones, placement-driven.
+  const std::uint64_t expected[3][3] = {
+      {0x698b2e4e7fb85d28ull, 0xe5eaabf97824f3bcull, 0x67fa8f1d207fadc0ull},
+      {0x36220adcd7fe0955ull, 0xfe8256c362967c3eull, 0xe2555bca73a7b592ull},
+      {0xaa5ddb18414cecb5ull, 0xd2f806335175b700ull, 0x63436fb6ec78b76eull},
+  };
+  for (std::size_t p = 0; p < 3; ++p) {
+    const std::vector<std::uint64_t> got = preset_match_digests(
+        kPresets[p].make(0.1), lib,
+        {PartitionStrategy::kDagon, PartitionStrategy::kCones,
+         PartitionStrategy::kPlacementDriven});
+    for (std::size_t s = 0; s < 3; ++s)
+      EXPECT_EQ(hex(got[s]), hex(expected[p][s])) << kPresets[p].name << " strategy " << s;
+  }
+}
+
+TEST(MatchSetGolden, PresetsWithSeedGenlib) {
+  const Library lib =
+      parse_genlib_file(std::string(CALS_TEST_CORPUS_DIR) + "/genlib/seed_ok.genlib")
+          .value_or_die();
+  const std::uint64_t expected[3] = {0x88d20419c958e879ull, 0x47b7c07357a87c97ull,
+                                     0x670be63e565708efull};
+  for (std::size_t p = 0; p < 3; ++p) {
+    const std::vector<std::uint64_t> got = preset_match_digests(
+        kPresets[p].make(0.1), lib, {PartitionStrategy::kPlacementDriven});
+    EXPECT_EQ(hex(got[0]), hex(expected[p])) << kPresets[p].name;
+  }
 }
 
 }  // namespace

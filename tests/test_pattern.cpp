@@ -78,5 +78,17 @@ TEST(PatternDeath, TooManyVariablesAborts) {
                "variables");
 }
 
+TEST(Pattern, FromPartsRejectsABareVariable) {
+  // The blob loader's entry point fails closed on a pattern that covers no
+  // gate, as parse_genlib does.
+  const Result<Pattern> bare = Pattern::from_parts({{PatternKind::kVar, -1, -1, 0}}, 0, 1);
+  ASSERT_FALSE(bare.ok());
+  EXPECT_EQ(bare.status().code(), ErrorCode::kParseError);
+  const Result<Pattern> inv = Pattern::from_parts(
+      {{PatternKind::kVar, -1, -1, 0}, {PatternKind::kInv, 0, -1, -1}}, 1, 1);
+  ASSERT_TRUE(inv.ok());
+  EXPECT_EQ(inv->str(), "INV(a)");
+}
+
 }  // namespace
 }  // namespace cals

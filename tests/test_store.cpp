@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -150,6 +151,19 @@ TEST(DatasetPack, WritesBlobNamedAfterKeyAndVersion) {
   Result<svc::PackedDataset> again =
       svc::pack_job_dataset(spec, dir.path.string(), 7);
   EXPECT_TRUE(again.ok());
+}
+
+TEST(DatasetPack, BlobBytesGolden) {
+  // The packed spla-like blob, byte for byte: the network, the base
+  // placement, the library and the match database it freezes, in format 2.
+  // A change to any of them, or to their layout, shows here.
+  EXPECT_EQ(kFormatVersion, 2u);
+  TempDir dir("golden");
+  const std::vector<std::uint8_t> bytes = pack_bytes(tiny_spec(), dir);
+  char digest[24];
+  std::snprintf(digest, sizeof digest, "0x%016llx",
+                static_cast<unsigned long long>(fnv1a64_bytes(bytes.data(), bytes.size())));
+  EXPECT_STREQ(digest, "0x93a3e3290d7d166b");
 }
 
 TEST(DatasetPack, RejectsUnparseableDesign) {
