@@ -105,7 +105,12 @@ int main(int argc, char** argv) {
               model.network.num_base_gates());
 
   const Library corelib = lib::make_corelib();
-  const Library tiny = read_genlib_string(kTinyLib);
+  Result<Library> tiny_lib = parse_genlib_string(kTinyLib);
+  if (!tiny_lib.ok()) {
+    std::fprintf(stderr, "custom_library: %s\n", tiny_lib.status().to_string().c_str());
+    return 1;
+  }
+  const Library tiny = std::move(*tiny_lib);
   std::printf("libraries: '%s' (%u cells) vs '%s' (%u cells)\n\n",
               corelib.name().c_str(), corelib.num_cells(), tiny.name().c_str(),
               tiny.num_cells());

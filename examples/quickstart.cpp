@@ -8,6 +8,7 @@
 /// Build & run:  ./build/examples/quickstart
 
 #include <cstdio>
+#include <utility>
 
 #include "flow/baselines.hpp"
 #include "flow/flow.hpp"
@@ -36,7 +37,12 @@ int main() {
 ----1111 0110
 .e
 )";
-  const Pla pla = read_pla_string(pla_text);
+  Result<Pla> parsed = parse_pla_string(pla_text);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "quickstart: %s\n", parsed.status().to_string().c_str());
+    return 1;
+  }
+  const Pla pla = std::move(*parsed);
   std::printf("PLA: %u inputs, %u outputs, %zu products\n", pla.num_inputs,
               pla.num_outputs, pla.products.size());
 

@@ -267,17 +267,14 @@ void DesignContext::implement_phases(FlowRun& run, const FlowOptions& options,
     if (options.max_route_iters != 0)
       route_options.max_rrr_iterations = options.max_route_iters;
     route_options.cancel = options.cancel;
-    if (options.repair_passes == 0) {
-      // The seed path, verbatim: repair off is bit-identical to main.
-      run.route = route(grid, run.binding.graph, run.placement, route_options);
-    } else {
-      // Congestion repair (cals::rcm): keep the routing session open so the
-      // repair loop can invalidate moved nets and resume the negotiation.
-      Router router(grid, run.binding.graph, run.placement, route_options);
-      router.run();
+    // One routing session per evaluation; repair_passes only decides whether
+    // the congestion repair (cals::rcm) resumes it after moving cells.
+    Router router(grid, run.binding.graph, run.placement, route_options);
+    router.run();
+    bool degraded = false;
+    if (options.repair_passes > 0) {
       run.congestion_pre = CongestionMap(grid);
       const std::vector<Point> pre_repair_positions = run.placement.pos;
-      bool degraded = false;
       try {
         CALS_TRACE_SCOPE("flow.repair");
         // kFail action = skip repair quietly; the default throw action
@@ -306,9 +303,9 @@ void DesignContext::implement_phases(FlowRun& run, const FlowOptions& options,
         run.placement.pos = pre_repair_positions;
         degraded = true;
       }
-      run.route = degraded ? route(grid, run.binding.graph, run.placement, route_options)
-                           : router.take();
     }
+    run.route = degraded ? route(grid, run.binding.graph, run.placement, route_options)
+                         : router.take();
     run.congestion = CongestionMap(grid);
   }
   run.metrics.route_seconds = phase_timer.seconds();

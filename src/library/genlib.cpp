@@ -188,16 +188,6 @@ Result<Library> parse_genlib_file(const std::string& path) {
   return result;
 }
 
-Library read_genlib(std::istream& in) { return parse_genlib(in).value_or_die(); }
-
-Library read_genlib_string(const std::string& text) {
-  return parse_genlib_string(text).value_or_die();
-}
-
-Library read_genlib_file(const std::string& path) {
-  return parse_genlib_file(path).value_or_die();
-}
-
 void write_genlib(std::ostream& out, const Library& lib) {
   const TechParams& t = lib.tech();
   out << "LIBRARY " << lib.name() << '\n';

@@ -30,11 +30,6 @@ Result<Library> parse_genlib(std::istream& in);
 Result<Library> parse_genlib_string(const std::string& text);
 Result<Library> parse_genlib_file(const std::string& path);
 
-/// Legacy trusted-input entry points: parse_genlib + die-with-diagnostic.
-Library read_genlib(std::istream& in);
-Library read_genlib_string(const std::string& text);
-Library read_genlib_file(const std::string& path);
-
 void write_genlib(std::ostream& out, const Library& lib);
 std::string write_genlib_string(const Library& lib);
 

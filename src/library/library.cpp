@@ -8,6 +8,11 @@ namespace cals {
 
 CellId Library::add_cell(Cell cell) {
   CALS_CHECK_MSG(!has_cell(cell.name()), "duplicate cell name");
+  // A bare-variable pattern covers no base gate: its match would have
+  // nothing to place. The parsers reject it as input; here it is a bug.
+  CALS_CHECK_MSG(std::all_of(cell.patterns().begin(), cell.patterns().end(),
+                             [](const Pattern& p) { return p.num_gates() > 0; }),
+                 ("cell " + cell.name() + ": pattern has no INV or NAND gate").c_str());
   cells_.push_back(std::move(cell));
   return CellId{static_cast<std::uint32_t>(cells_.size() - 1)};
 }

@@ -25,6 +25,7 @@ class Library {
   explicit Library(std::string name, TechParams tech = {})
       : name_(std::move(name)), tech_(tech) {}
 
+  /// Aborts on a duplicate name or a pattern with no INV or NAND gate.
   CellId add_cell(Cell cell);
 
   const std::string& name() const { return name_; }

@@ -303,16 +303,6 @@ Result<BlifModel> parse_blif_file(const std::string& path) {
   return result;
 }
 
-BlifModel read_blif(std::istream& in) { return parse_blif(in).value_or_die(); }
-
-BlifModel read_blif_string(const std::string& text) {
-  return parse_blif_string(text).value_or_die();
-}
-
-BlifModel read_blif_file(const std::string& path) {
-  return parse_blif_file(path).value_or_die();
-}
-
 void write_blif(std::ostream& out, const BaseNetwork& net, const std::string& model_name) {
   auto sig = [&](NodeId n) -> std::string {
     if (net.kind(n) == NodeKind::kPi) return net.pi_name(n);

@@ -46,12 +46,6 @@ Result<BlifModel> parse_blif(std::istream& in);
 Result<BlifModel> parse_blif_string(const std::string& text);
 Result<BlifModel> parse_blif_file(const std::string& path);
 
-/// Legacy trusted-input entry points: parse_blif + die-with-diagnostic on
-/// error. Prefer the Result<> forms for anything user-facing.
-BlifModel read_blif(std::istream& in);
-BlifModel read_blif_string(const std::string& text);
-BlifModel read_blif_file(const std::string& path);
-
 /// Writes the network as structural BLIF (NAND2/INV tables only).
 void write_blif(std::ostream& out, const BaseNetwork& net, const std::string& model_name);
 std::string write_blif_string(const BaseNetwork& net, const std::string& model_name);

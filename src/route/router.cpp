@@ -32,39 +32,38 @@ inline std::uint64_t overflow_contribution(double usage, double capacity) {
   return usage > capacity ? static_cast<std::uint64_t>(std::ceil(usage - capacity)) : 0;
 }
 
-/// The negotiated global router, restructured around three hot-path ideas
-/// (DESIGN.md §7) while staying bit-identical to the straightforward
-/// implementation (kept as `reference_route` in tests/test_route_equivalence):
+}  // namespace
+
+/// The negotiated global router and its incremental session, restructured
+/// around two hot-path ideas (DESIGN.md §7) while staying bit-identical to
+/// the straightforward implementation (kept as `reference_route` in
+/// tests/test_route_equivalence):
 ///
-///  1. Pattern pricing by prefix sums: per-row (h) and per-column (v) prefix
-///     sums over edge costs make each L-shape candidate O(1) to price; rows
-///     and columns are invalidated when a commit changes their usage and
-///     rebuilt lazily.
-///  2. Dirty-set rip-up: instead of re-scanning every net's every path each
+///  1. Dirty-set rip-up: instead of re-scanning every net's every path each
 ///     iteration, overflowed edges index the segments crossing them
 ///     (append-only lists, stale entries filtered by the same
 ///     overflow-at-visit predicate the full scan applied), and candidates
 ///     are processed in ascending (net, segment) order from a heap so the
 ///     reroute sequence is unchanged. Each edge's list is swept at most
 ///     once per round: a second sweep could enqueue nothing.
-///  3. Allocation pooling: the maze heap, backtrack scratch and path buffers
-///     live for the whole route() call; per-iteration edge-cost caches turn
+///  2. Allocation pooling: the maze heap, backtrack scratch and path buffers
+///     live for the whole session; per-iteration edge-cost caches turn
 ///     each maze relaxation into a single load.
 ///
-/// The core also backs the public incremental session (cals::Router): after
-/// run(), invalidate_nets() rips up a net subset and rebuilds its topology
-/// from new pin positions (fresh segment ids appended, so existing crossing
-/// lists stay valid as merely-stale entries), and reroute_dirty() routes the
-/// rebuilt segments and resumes the negotiation where run() left off
-/// (history, penalties and the round counter all persist).
-class RouterCore {
- public:
-  RouterCore(RoutingGrid& grid, const PlaceGraph& graph, const Placement& placement,
-             const RouteOptions& options, RouteResult& result)
+/// The pattern pass prices both L-shapes of a segment by walking them, the
+/// reference's own summation order, and builds only the winner.
+///
+/// After run(), invalidate_nets() rips up a net subset and rebuilds its
+/// topology from new pin positions (fresh segment ids appended, so existing
+/// crossing lists stay valid as merely-stale entries), and reroute_dirty()
+/// routes the rebuilt segments and resumes the negotiation where run() left
+/// off (history, penalties and the round counter all persist).
+struct Router::Impl {
+  Impl(RoutingGrid& grid, const PlaceGraph& graph, const Placement& placement,
+       const RouteOptions& options)
       : grid_(grid),
         graph_(graph),
         options_(options),
-        result_(result),
         nx_(grid.nx()),
         ny_(grid.ny()),
         num_h_(grid.num_h_edges()),
@@ -77,35 +76,17 @@ class RouterCore {
         v_history_(grid.v_history().data()),
         maze_(static_cast<std::size_t>(nx_) * ny_) {
     CALS_CHECK(nx_ < 0x10000 && ny_ < 0x10000);  // maze entries pack (y<<16)|x
+    // The session owns the grid's usage and history for its lifetime.
+    grid.clear_usage();
+    std::fill(grid.h_history().begin(), grid.h_history().end(), 0.0);
+    std::fill(grid.v_history().begin(), grid.v_history().end(), 0.0);
     build_topology(placement);
-    const std::size_t cells = static_cast<std::size_t>(nx_) * ny_;
     const std::size_t edges = num_h_ + num_v_;
     over_flag_.assign(edges, 0);
     over_listed_.assign(edges, 0);
     cross_.resize(edges);
     edge_stamp_.assign(edges, 0);
     seg_stamp_.assign(segments_.size(), 0);
-    // Pattern prefix sums: every row/column starts dirty and is built on
-    // first use. The h prefix for row y lives at [y*nx_, (y+1)*nx_), entry i
-    // holding the cost sum of edges left of cell i.
-    row_prefix_.assign(cells, 0.0);
-    col_prefix_.assign(cells, 0.0);
-    row_dirty_.assign(ny_, 1);
-    col_dirty_.assign(nx_, 1);
-    row_clean_.assign(ny_, 0);
-    col_clean_.assign(nx_, 0);
-    // Column-major mirrors of the v-edge usage/history so rebuild_col scans
-    // contiguously instead of striding nx_ doubles per edge. Only the
-    // pattern phase reads them: the usage mirror is maintained by add_v
-    // outside the rip-up phase, and history never changes before rrr_loop.
-    v_usage_cm_.assign(num_v_, 0.0);
-    v_history_cm_.assign(num_v_, 0.0);
-    for (std::int32_t y = 0; y + 1 < ny_; ++y)
-      for (std::int32_t x = 0; x < nx_; ++x) {
-        const std::size_t cm = static_cast<std::size_t>(x) * (ny_ - 1) + y;
-        v_usage_cm_[cm] = v_usage_[static_cast<std::size_t>(y) * nx_ + x];
-        v_history_cm_[cm] = v_history_[static_cast<std::size_t>(y) * nx_ + x];
-      }
   }
 
   void run() {
@@ -177,6 +158,9 @@ class RouterCore {
     finish();
   }
 
+  /// The current solution: valid after run(), refreshed by reroute_dirty().
+  RouteResult& result() { return result_; }
+
  private:
   // ---- topology -----------------------------------------------------------
   void build_topology(const Placement& placement) {
@@ -208,8 +192,8 @@ class RouterCore {
   // v edges shifted by num_h_.
 
   /// Adds `amount` to one edge's usage, keeping the overflow tracker, the
-  /// overflow flags and the phase-local cost caches current. Returns the
-  /// combined edge id.
+  /// overflow flags and (in the rip-up phase) the cost caches current.
+  /// Returns the combined edge id.
   std::size_t add_h(std::int32_t x, std::int32_t y, double amount) {
     const std::size_t e = static_cast<std::size_t>(y) * (nx_ - 1) + x;
     double& u = h_usage_[e];
@@ -222,12 +206,9 @@ class RouterCore {
       over_listed_[e] = 1;
       over_list_.push_back(static_cast<std::uint32_t>(e));
     }
-    if (rrr_phase_) {
+    if (rrr_phase_)
       h_cost_[static_cast<std::size_t>(y) * nx_ + x] =
           edge_cost(u, cap_h_, h_history_[e], penalty_);
-    } else {
-      row_dirty_[y] = 1;
-    }
     return e;
   }
 
@@ -244,12 +225,7 @@ class RouterCore {
       over_listed_[cid] = 1;
       over_list_.push_back(static_cast<std::uint32_t>(cid));
     }
-    if (rrr_phase_) {
-      v_cost_[e] = edge_cost(u, cap_v_, v_history_[e], penalty_);
-    } else {
-      col_dirty_[x] = 1;
-      v_usage_cm_[static_cast<std::size_t>(x) * (ny_ - 1) + y] = u;
-    }
+    if (rrr_phase_) v_cost_[e] = edge_cost(u, cap_v_, v_history_[e], penalty_);
     return e;
   }
 
@@ -327,64 +303,11 @@ class RouterCore {
 
   // ---- pattern pass -------------------------------------------------------
 
-  void rebuild_row(std::int32_t y) {
-    double* p = row_prefix_.data() + static_cast<std::size_t>(y) * nx_;
-    const double* u = h_usage_ + static_cast<std::size_t>(y) * (nx_ - 1);
-    const double* h = h_history_ + static_cast<std::size_t>(y) * (nx_ - 1);
-    p[0] = 0.0;
-    bool clean = true;
-    for (std::int32_t x = 0; x + 1 < nx_; ++x) {
-      const double c = edge_cost(u[x], cap_h_, h[x], pattern_penalty_);
-      clean &= c == 1.0;
-      p[x + 1] = p[x] + c;
-    }
-    row_clean_[y] = clean;
-    row_dirty_[y] = 0;
-  }
-
-  void rebuild_col(std::int32_t x) {
-    double* p = col_prefix_.data() + static_cast<std::size_t>(x) * ny_;
-    const double* u = v_usage_cm_.data() + static_cast<std::size_t>(x) * (ny_ - 1);
-    const double* h = v_history_cm_.data() + static_cast<std::size_t>(x) * (ny_ - 1);
-    p[0] = 0.0;
-    bool clean = true;
-    for (std::int32_t y = 0; y + 1 < ny_; ++y) {
-      const double c = edge_cost(u[y], cap_v_, h[y], pattern_penalty_);
-      clean &= c == 1.0;
-      p[y + 1] = p[y] + c;
-    }
-    col_clean_[x] = clean;
-    col_dirty_[x] = 0;
-  }
-
-  void ensure_row(std::int32_t y) {
-    if (row_dirty_[y]) rebuild_row(y);
-  }
-  void ensure_col(std::int32_t x) {
-    if (col_dirty_[x]) rebuild_col(x);
-  }
-
-  /// Prefix difference for the horizontal run between cells (x0,y) and
-  /// (x1,y), plus the endpoint magnitude that bounds its rounding error.
-  double h_run_cost(std::int32_t y, std::int32_t x0, std::int32_t x1, double& mag) const {
-    const double* p = row_prefix_.data() + static_cast<std::size_t>(y) * nx_;
-    if (x0 > x1) std::swap(x0, x1);
-    mag += p[x1] + p[x0];
-    return p[x1] - p[x0];
-  }
-
-  double v_run_cost(std::int32_t x, std::int32_t y0, std::int32_t y1, double& mag) const {
-    const double* p = col_prefix_.data() + static_cast<std::size_t>(x) * ny_;
-    if (y0 > y1) std::swap(y0, y1);
-    mag += p[y1] + p[y0];
-    return p[y1] - p[y0];
-  }
-
-  /// Exact replay of the straightforward implementation's pricing: edge
-  /// costs summed one by one in path-walk order. Used only when the prefix
-  /// comparison lands inside its rounding-error bound, so the L-shape choice
-  /// is always the one walk-order sums would have made.
+  /// The straightforward implementation's pricing of the L-shape a -> bend
+  /// -> b: edge costs at the pattern penalty, summed one by one in
+  /// path-walk order.
   double walk_cost(GCell a, GCell bend, GCell b) const {
+    const double penalty = options_.present_penalty;
     double total = 0.0;
     const std::pair<GCell, GCell> legs[2] = {{a, bend}, {bend, b}};
     for (const auto& [from, to] : legs) {
@@ -393,14 +316,14 @@ class RouterCore {
         for (std::int32_t x = from.x; x != to.x; x += step) {
           const std::size_t e =
               static_cast<std::size_t>(from.y) * (nx_ - 1) + std::min(x, x + step);
-          total += edge_cost(h_usage_[e], cap_h_, h_history_[e], pattern_penalty_);
+          total += edge_cost(h_usage_[e], cap_h_, h_history_[e], penalty);
         }
       } else {
         const std::int32_t step = to.y > from.y ? 1 : -1;
         for (std::int32_t y = from.y; y != to.y; y += step) {
           const std::size_t e =
               static_cast<std::size_t>(std::min(y, y + step)) * nx_ + from.x;
-          total += edge_cost(v_usage_[e], cap_v_, v_history_[e], pattern_penalty_);
+          total += edge_cost(v_usage_[e], cap_v_, v_history_[e], penalty);
         }
       }
     }
@@ -421,46 +344,20 @@ class RouterCore {
   }
 
   /// L-shape pattern route into `path`: the cheaper of the two single-bend
-  /// paths, priced in O(1) via the prefix sums (no candidate path is ever
-  /// materialized — only the winner is built).
-  void l_route(GCell a, GCell b, std::vector<GCell>& path) {
+  /// paths, the horizontal-first one on a tie. Only the winner is built.
+  void l_route(GCell a, GCell b, std::vector<GCell>& path) const {
     path.clear();
     path.reserve(static_cast<std::size_t>(std::abs(a.x - b.x) + std::abs(a.y - b.y)) + 1);
     path.push_back(a);
     GCell bend{b.x, a.y};  // horizontal first
-    if (a.x != b.x && a.y != b.y && !horizontal_first(a, b))
+    if (a.x != b.x && a.y != b.y && walk_cost(a, {a.x, b.y}, b) < walk_cost(a, bend, b))
       bend = {a.x, b.y};  // vertical first
     walk(path, a, bend);
     walk(path, bend, b);
   }
 
-  /// Decides between the two L-shapes exactly as walk-order pricing would.
-  /// Fast paths: if every row/column involved prices all its edges at the
-  /// base cost 1.0, both candidates cost exactly dx+dy and the horizontal
-  /// bend wins the tie; otherwise the prefix comparison decides outright
-  /// whenever the margin exceeds a conservative bound on the summation
-  /// rounding error (2^-32 relative — sequential-sum error for any
-  /// realistic run length is below 2^-36). Only genuine near-ties fall back
-  /// to the O(length) walk-order sums.
-  bool horizontal_first(GCell a, GCell b) {
-    ensure_row(a.y);
-    ensure_row(b.y);
-    ensure_col(a.x);
-    ensure_col(b.x);
-    if (row_clean_[a.y] && row_clean_[b.y] && col_clean_[a.x] && col_clean_[b.x])
-      return true;
-    double mag = 0.0;
-    const double cost1 = h_run_cost(a.y, a.x, b.x, mag) + v_run_cost(b.x, a.y, b.y, mag);
-    const double cost2 = v_run_cost(a.x, a.y, b.y, mag) + h_run_cost(b.y, a.x, b.x, mag);
-    const double eps = 0x1p-32 * (mag + 1.0);
-    if (cost1 <= cost2 - eps) return true;
-    if (cost2 <= cost1 - eps) return false;
-    return walk_cost(a, {b.x, a.y}, b) <= walk_cost(a, {a.x, b.y}, b);
-  }
-
   void pattern_pass() {
     CALS_TRACE_SCOPE_ARG("route.pattern", "segments", segments_.size());
-    pattern_penalty_ = options_.present_penalty;
     for (std::uint32_t s = 0; s < segments_.size(); ++s) {
       std::vector<GCell>& path = seg_paths_[s];
       l_route(segments_[s].a, segments_[s].b, path);
@@ -802,8 +699,8 @@ class RouterCore {
 
   RoutingGrid& grid_;
   const PlaceGraph& graph_;
-  const RouteOptions& options_;
-  RouteResult& result_;
+  const RouteOptions options_;
+  RouteResult result_;
   const std::int32_t nx_, ny_;
   const std::size_t num_h_, num_v_;
   const double cap_h_, cap_v_;
@@ -836,68 +733,40 @@ class RouterCore {
   std::vector<std::uint32_t> cand_heap_;           ///< min-heap of candidate segment ids
   std::uint32_t iter_marker_ = 0;
 
-  // Pattern-phase prefix sums.
-  double pattern_penalty_ = 0.0;
-  std::vector<double> row_prefix_, col_prefix_;
-  std::vector<std::uint8_t> row_dirty_, col_dirty_;
-  std::vector<std::uint8_t> row_clean_, col_clean_;  ///< every edge costs exactly 1.0
-  // Column-major v-edge mirrors (pattern phase only; see the constructor).
-  std::vector<double> v_usage_cm_, v_history_cm_;
-
   // Rip-up phase cost caches (h cell-padded to stride nx_).
   bool rrr_phase_ = false;
   double penalty_ = 0.0;
   std::vector<double> h_cost_, v_cost_;
 
-  // Maze state, pooled across all reroutes of the call (generation-stamped,
+  // Maze state, pooled across all reroutes of the session (generation-stamped,
   // so never cleared between searches).
   MazeScratch maze_;
   std::vector<GCell> reroute_path_;
   std::uint64_t maze_pops_ = 0;  ///< lifetime A* pops, differenced per iteration
 };
 
-}  // namespace
-
-// ---- incremental session facade ---------------------------------------------
-
-struct Router::Impl {
-  RouteOptions options;  ///< stable copy the core holds a reference into
-  RouteResult result;
-  RouterCore core;
-
-  Impl(RoutingGrid& grid, const PlaceGraph& graph, const Placement& placement,
-       const RouteOptions& opts)
-      : options(opts), core(grid, graph, placement, options, result) {}
-};
-
 Router::Router(RoutingGrid& grid, const PlaceGraph& graph, const Placement& placement,
-               const RouteOptions& options, ThreadPool*) {
-  // Same preconditions the one-shot route() has always established: the
-  // session owns the grid's usage and history for its lifetime.
-  grid.clear_usage();
-  std::fill(grid.h_history().begin(), grid.h_history().end(), 0.0);
-  std::fill(grid.v_history().begin(), grid.v_history().end(), 0.0);
-  impl_ = std::make_unique<Impl>(grid, graph, placement, options);
-}
+               const RouteOptions& options, ThreadPool*)
+    : impl_(std::make_unique<Impl>(grid, graph, placement, options)) {}
 
 Router::~Router() = default;
 Router::Router(Router&&) noexcept = default;
 Router& Router::operator=(Router&&) noexcept = default;
 
-void Router::run() { impl_->core.run(); }
+void Router::run() { impl_->run(); }
 
 void Router::invalidate_nets(const std::vector<std::uint32_t>& nets,
                              const Placement& placement) {
-  impl_->core.invalidate_nets(nets, placement);
+  impl_->invalidate_nets(nets, placement);
 }
 
 void Router::reroute_dirty(std::uint32_t max_iterations) {
-  impl_->core.reroute_dirty(max_iterations);
+  impl_->reroute_dirty(max_iterations);
 }
 
-const RouteResult& Router::result() const { return impl_->result; }
+const RouteResult& Router::result() const { return impl_->result(); }
 
-RouteResult Router::take() { return std::move(impl_->result); }
+RouteResult Router::take() { return std::move(impl_->result()); }
 
 RouteResult route(RoutingGrid& grid, const PlaceGraph& graph, const Placement& placement,
                   const RouteOptions& options, ThreadPool*) {

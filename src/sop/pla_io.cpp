@@ -142,16 +142,6 @@ Result<Pla> parse_pla_file(const std::string& path) {
   return result;
 }
 
-Pla read_pla(std::istream& in) { return parse_pla(in).value_or_die(); }
-
-Pla read_pla_string(const std::string& text) {
-  return parse_pla_string(text).value_or_die();
-}
-
-Pla read_pla_file(const std::string& path) {
-  return parse_pla_file(path).value_or_die();
-}
-
 void write_pla(std::ostream& out, const Pla& pla) {
   out << ".i " << pla.num_inputs << "\n.o " << pla.num_outputs << "\n.p "
       << pla.products.size() << '\n';

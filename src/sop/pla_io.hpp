@@ -23,11 +23,6 @@ Result<Pla> parse_pla(std::istream& in);
 Result<Pla> parse_pla_string(const std::string& text);
 Result<Pla> parse_pla_file(const std::string& path);
 
-/// Legacy trusted-input entry points: parse_pla + die-with-diagnostic.
-Pla read_pla(std::istream& in);
-Pla read_pla_string(const std::string& text);
-Pla read_pla_file(const std::string& path);
-
 void write_pla(std::ostream& out, const Pla& pla);
 std::string write_pla_string(const Pla& pla);
 

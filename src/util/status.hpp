@@ -134,8 +134,8 @@ class [[nodiscard]] Result {
   T* operator->() { return &value(); }
   const T* operator->() const { return &value(); }
 
-  /// Legacy bridge: dies with the diagnostic on error (the pre-Status reader
-  /// behavior), otherwise moves the value out.
+  /// For trusted input (built-in constants, test fixtures): dies with the
+  /// diagnostic on error, otherwise moves the value out.
   T value_or_die() && {
     if (!ok()) check_fail("Result::ok()", __FILE__, __LINE__, status_.to_string().c_str());
     return std::move(*value_);

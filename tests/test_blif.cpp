@@ -24,14 +24,14 @@ const char* kSmall = R"(
 )";
 
 TEST(Blif, ParsesStructure) {
-  const BlifModel model = read_blif_string(kSmall);
+  const BlifModel model = parse_blif_string(kSmall).value_or_die();
   EXPECT_EQ(model.name, "tiny");
   EXPECT_EQ(model.network.pis().size(), 3u);
   EXPECT_EQ(model.network.pos().size(), 2u);
 }
 
 TEST(Blif, SemanticsMatchCover) {
-  const BlifModel model = read_blif_string(kSmall);
+  const BlifModel model = parse_blif_string(kSmall).value_or_die();
   // f = (a&b) | c ; g = !a
   const std::uint64_t wa = 0xaaaaaaaaaaaaaaaaULL;
   const std::uint64_t wb = 0xccccccccccccccccULL;
@@ -54,7 +54,7 @@ TEST(Blif, OutOfOrderTables) {
 11 1
 .end
 )";
-  const BlifModel model = read_blif_string(text);
+  const BlifModel model = parse_blif_string(text).value_or_die();
   const std::uint64_t wa = 0xaaaaaaaaaaaaaaaaULL;
   const std::uint64_t wb = 0xccccccccccccccccULL;
   EXPECT_EQ(simulate64(model.network, {wa, wb})[0], ~(wa & wb));
@@ -70,7 +70,7 @@ TEST(Blif, ConstantTables) {
 .names zero
 .end
 )";
-  const BlifModel model = read_blif_string(text);
+  const BlifModel model = parse_blif_string(text).value_or_die();
   const auto out = simulate64(model.network, {0x1234ULL});
   EXPECT_EQ(out[0], ~0ULL);
   EXPECT_EQ(out[1], 0ULL);
@@ -78,21 +78,21 @@ TEST(Blif, ConstantTables) {
 
 TEST(Blif, LineContinuation) {
   const char* text = ".model c\n.inputs a \\\nb\n.outputs f\n.names a b f\n11 1\n.end\n";
-  const BlifModel model = read_blif_string(text);
+  const BlifModel model = parse_blif_string(text).value_or_die();
   EXPECT_EQ(model.network.pis().size(), 2u);
 }
 
 TEST(Blif, RoundTripPreservesFunction) {
-  const BlifModel model = read_blif_string(kSmall);
+  const BlifModel model = parse_blif_string(kSmall).value_or_die();
   const std::string text = write_blif_string(model.network, "tiny");
-  const BlifModel again = read_blif_string(text);
+  const BlifModel again = parse_blif_string(text).value_or_die();
   ASSERT_EQ(again.network.pis().size(), model.network.pis().size());
   ASSERT_EQ(again.network.pos().size(), model.network.pos().size());
   EXPECT_EQ(random_signature(model.network, 8, 5), random_signature(again.network, 8, 5));
 }
 
 TEST(Blif, WriterEmitsNandInvOnly) {
-  const BlifModel model = read_blif_string(kSmall);
+  const BlifModel model = parse_blif_string(kSmall).value_or_die();
   const std::string text = write_blif_string(model.network, "tiny");
   // Every multi-input table row is a NAND2 cover or a single-literal alias.
   EXPECT_NE(text.find("0- 1"), std::string::npos);
@@ -117,7 +117,7 @@ TEST(Blif, LatchesBecomePseudoIo) {
 1 1
 .end
 )";
-  const BlifModel model = read_blif_string(text);
+  const BlifModel model = parse_blif_string(text).value_or_die();
   ASSERT_EQ(model.latches.size(), 2u);
   EXPECT_EQ(model.latches[0].input, "d0");
   EXPECT_EQ(model.latches[0].output, "q0");
@@ -153,7 +153,7 @@ TEST(Blif, SequentialCoreIsMappable) {
 0 1
 .end
 )";
-  BlifModel model = read_blif_string(text);
+  BlifModel model = parse_blif_string(text).value_or_die();
   model.network.compact();
   model.network.build_fanouts();
   const Library lib = lib::make_corelib();
@@ -166,13 +166,19 @@ TEST(Blif, SequentialCoreIsMappable) {
   EXPECT_EQ(out[1], 0xff00ff00ff00ff00ULL & 0x0f0f0f0f0f0f0f0fULL);
 }
 
-TEST(BlifDeath, UndrivenOutputAborts) {
-  EXPECT_DEATH(read_blif_string(".model x\n.inputs a\n.outputs f\n.end\n"), "undriven");
+TEST(Blif, UndrivenOutputIsParseError) {
+  const Result<BlifModel> model = parse_blif_string(".model x\n.inputs a\n.outputs f\n.end\n");
+  ASSERT_FALSE(model.ok());
+  EXPECT_EQ(model.status().code(), ErrorCode::kParseError);
+  EXPECT_NE(model.status().message().find("undriven"), std::string::npos);
 }
 
-TEST(BlifDeath, CyclicAborts) {
+TEST(Blif, CyclicIsParseError) {
   const char* text = ".model x\n.inputs a\n.outputs f\n.names f g\n1 1\n.names g f\n1 1\n.end\n";
-  EXPECT_DEATH(read_blif_string(text), "cyclic");
+  const Result<BlifModel> model = parse_blif_string(text);
+  ASSERT_FALSE(model.ok());
+  EXPECT_EQ(model.status().code(), ErrorCode::kParseError);
+  EXPECT_NE(model.status().message().find("cyclic"), std::string::npos);
 }
 
 }  // namespace

@@ -29,7 +29,7 @@ TEST(Integration, PlaTextToTimedLayout) {
 ---100 010
 .e
 )";
-  const Pla pla = read_pla_string(pla_text);
+  const Pla pla = parse_pla_string(pla_text).value_or_die();
   const Library lib = lib::make_corelib();
   BaseNetwork net = synthesize_base(pla);
 
@@ -78,7 +78,7 @@ TEST(Integration, BlifRoundTripThroughMapping) {
 00 1
 .end
 )";
-  const BlifModel model = read_blif_string(blif);
+  const BlifModel model = parse_blif_string(blif).value_or_die();
   BaseNetwork net = model.network;
   net.compact();
   net.build_fanouts();

@@ -73,6 +73,16 @@ TEST(LibraryDeath, DuplicateCellAborts) {
                "duplicate");
 }
 
+TEST(LibraryDeath, PatternWithoutGateAborts) {
+  // A library built in code stops here, not later in the match database.
+  Library lib("x");
+  EXPECT_DEATH(lib.add_cell(Cell("WIRE", 1.0, {Pattern::parse("a")}, 0.1, 0.1, 1.0)),
+               "cell WIRE: pattern has no INV or NAND gate");
+  EXPECT_DEATH(lib.add_cell(Cell("BUF", 2.0, {Pattern::parse("INV(INV(a))"), Pattern::parse("a")},
+                                 0.1, 0.1, 1.0)),
+               "cell BUF: pattern has no INV or NAND gate");
+}
+
 TEST(LibraryDeath, UnknownCellAborts) {
   const Library lib = lib::make_corelib();
   EXPECT_DEATH(lib.cell_id("BOGUS"), "unknown");
@@ -81,7 +91,7 @@ TEST(LibraryDeath, UnknownCellAborts) {
 TEST(Genlib, RoundTrip) {
   const Library lib = lib::make_corelib();
   const std::string text = write_genlib_string(lib);
-  const Library again = read_genlib_string(text);
+  const Library again = parse_genlib_string(text).value_or_die();
   ASSERT_EQ(again.num_cells(), lib.num_cells());
   for (std::uint32_t i = 0; i < lib.num_cells(); ++i) {
     const Cell& a = lib.cell(CellId{i});
@@ -104,7 +114,7 @@ CELL INVX 4.0 0.05 0.01 1.5 INV(a)
 CELL ND2 6.0 0.06 0.01 2.0 NAND(a,b)
 ALT NAND(b,a)
 )";
-  const Library lib = read_genlib_string(text);
+  const Library lib = parse_genlib_string(text).value_or_die();
   EXPECT_EQ(lib.name(), "toy");
   EXPECT_EQ(lib.num_cells(), 2u);
   EXPECT_EQ(lib.tech().metal_layers, 4);
@@ -128,8 +138,11 @@ TEST(Genlib, RejectsPatternsWithoutAGate) {
   }
 }
 
-TEST(GenlibDeath, AltBeforeCellAborts) {
-  EXPECT_DEATH(read_genlib_string("LIBRARY x\nALT INV(a)\n"), "ALT before");
+TEST(Genlib, AltBeforeCellIsParseError) {
+  const Result<Library> lib = parse_genlib_string("LIBRARY x\nALT INV(a)\n");
+  ASSERT_FALSE(lib.ok());
+  EXPECT_EQ(lib.status().code(), ErrorCode::kParseError);
+  EXPECT_NE(lib.status().message().find("ALT before"), std::string::npos);
 }
 
 }  // namespace

@@ -17,21 +17,21 @@ const char* kPla = R"(
 )";
 
 TEST(PlaIo, ParsesHeader) {
-  const Pla pla = read_pla_string(kPla);
+  const Pla pla = parse_pla_string(kPla).value_or_die();
   EXPECT_EQ(pla.num_inputs, 3u);
   EXPECT_EQ(pla.num_outputs, 2u);
   EXPECT_EQ(pla.products.size(), 3u);
 }
 
 TEST(PlaIo, OutputPlaneMembership) {
-  const Pla pla = read_pla_string(kPla);
+  const Pla pla = parse_pla_string(kPla).value_or_die();
   EXPECT_EQ(pla.outputs[0], (std::vector<std::uint32_t>{0, 1}));
   EXPECT_EQ(pla.outputs[1], (std::vector<std::uint32_t>{1, 2}));
 }
 
 TEST(PlaIo, RoundTrip) {
-  const Pla pla = read_pla_string(kPla);
-  const Pla again = read_pla_string(write_pla_string(pla));
+  const Pla pla = parse_pla_string(kPla).value_or_die();
+  const Pla again = parse_pla_string(write_pla_string(pla)).value_or_die();
   EXPECT_EQ(again.num_inputs, pla.num_inputs);
   EXPECT_EQ(again.num_outputs, pla.num_outputs);
   ASSERT_EQ(again.products.size(), pla.products.size());
@@ -41,16 +41,23 @@ TEST(PlaIo, RoundTrip) {
 }
 
 TEST(PlaIo, IgnoresInformationalDirectives) {
-  const Pla pla = read_pla_string(".i 2\n.o 1\n.type fr\n.ilb a b\n.ob f\n11 1\n.e\n");
+  const Pla pla =
+      parse_pla_string(".i 2\n.o 1\n.type fr\n.ilb a b\n.ob f\n11 1\n.e\n").value_or_die();
   EXPECT_EQ(pla.products.size(), 1u);
 }
 
-TEST(PlaIoDeath, RowBeforeHeaderAborts) {
-  EXPECT_DEATH(read_pla_string("11 1\n.i 2\n.o 1\n.e\n"), "before");
+TEST(PlaIo, RowBeforeHeaderIsParseError) {
+  const Result<Pla> pla = parse_pla_string("11 1\n.i 2\n.o 1\n.e\n");
+  ASSERT_FALSE(pla.ok());
+  EXPECT_EQ(pla.status().code(), ErrorCode::kParseError);
+  EXPECT_NE(pla.status().message().find("before"), std::string::npos);
 }
 
-TEST(PlaIoDeath, WidthMismatchAborts) {
-  EXPECT_DEATH(read_pla_string(".i 3\n.o 1\n11 1\n.e\n"), "width");
+TEST(PlaIo, WidthMismatchIsParseError) {
+  const Result<Pla> pla = parse_pla_string(".i 3\n.o 1\n11 1\n.e\n");
+  ASSERT_FALSE(pla.ok());
+  EXPECT_EQ(pla.status().code(), ErrorCode::kParseError);
+  EXPECT_NE(pla.status().message().find("width"), std::string::npos);
 }
 
 }  // namespace

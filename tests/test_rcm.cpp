@@ -1,6 +1,7 @@
 /// cals::rcm congestion repair: overflow strictly improves on a congested
 /// workload, the repaired placement stays legal, repair-off is bit-identical
-/// to the plain router, and repair-on is bit-identical at any thread count.
+/// to the plain router, repair-on is bit-identical at any thread count, and
+/// a failed or skipped repair ships the repair-off run.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include "place/legalize.hpp"
 #include "rcm/rcm.hpp"
 #include "route/router.hpp"
+#include "util/faults.hpp"
 #include "util/fnv.hpp"
 #include "workloads/presets.hpp"
 
@@ -316,6 +318,39 @@ TEST(Rcm, FlowRepairOffBitIdenticalToSeedFlow) {
   EXPECT_EQ(off.metrics.rcm_passes, 0u);
   EXPECT_EQ(off.metrics.rcm_cells_moved, 0u);
   EXPECT_EQ(off.metrics.rcm_overflow_removed, 0u);
+}
+
+TEST(Rcm, FailedRepairShipsTheRepairOffRun) {
+  // A repair that throws is discarded for a fresh route of the restored
+  // placement; one skipped by a kFail fault ships the session as run() left
+  // it. Either way the evaluation ships exactly the repair-off run.
+  BaseNetwork net = synthesize_base(workloads::spla_like(0.1));
+  net.build_fanouts();
+  static const Library lib = lib::make_corelib();
+  const Floorplan fp =
+      Floorplan::for_cell_area(net.num_base_gates() * 5.3, 0.58, lib.tech());
+  const DesignContext context(net, &lib, fp);
+
+  FlowOptions options;
+  options.replace_mapped = false;
+  options.num_threads = 1;
+  options.rgrid.capacity_scale = 1.5;
+  const FlowRun off = context.run(options);
+  ASSERT_GT(off.metrics.routing_violations, 0u);
+
+  options.repair_passes = 2;
+  for (const faults::Action action : {faults::Action::kThrow, faults::Action::kFail}) {
+    faults::arm("flow.repair", {.action = action});
+    const FlowRun failed = context.run(options);
+    EXPECT_EQ(faults::fired("flow.repair"), 1u);
+    faults::reset();
+    EXPECT_EQ(failed.placement.pos, off.placement.pos);
+    expect_identical_routes(failed.route, off.route);
+    EXPECT_EQ(failed.metrics.routing_violations, off.metrics.routing_violations);
+    EXPECT_EQ(failed.metrics.wirelength_um, off.metrics.wirelength_um);
+    EXPECT_EQ(failed.metrics.critical_path_ns, off.metrics.critical_path_ns);
+    EXPECT_EQ(failed.metrics.rcm_passes, 0u);
+  }
 }
 
 }  // namespace

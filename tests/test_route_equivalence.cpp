@@ -1,9 +1,9 @@
-/// Proves the optimized router (prefix-sum pattern pricing, dirty-set
-/// rip-up, A* maze with label-based backtrack — see DESIGN.md §7) is
-/// bit-identical to the straightforward implementation it replaced. The
-/// reference below is that implementation, kept verbatim: every-net
-/// every-iteration overflow scans, walk-order path pricing, plain
-/// priority_queue Dijkstra with from_-pointer backtrack.
+/// Proves the optimized router (dirty-set rip-up, A* maze with label-based
+/// backtrack, pooled buffers — see DESIGN.md §7) is bit-identical to the
+/// straightforward implementation it replaced. The reference below is that
+/// implementation, kept verbatim: every-net every-iteration overflow scans,
+/// walk-order path pricing (which the optimized pattern pass now shares),
+/// plain priority_queue Dijkstra with from_-pointer backtrack.
 
 #include <gtest/gtest.h>
 
