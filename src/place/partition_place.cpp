@@ -50,8 +50,8 @@ struct Region {
 };
 
 /// Fiduccia–Mattheyses bisection with gain buckets and terminal propagation.
-/// Every array is a member reused across bisections, so a bisection
-/// allocates nothing once the arrays have grown to the largest region.
+/// Every array is a member sized once for the whole graph, so a bisection
+/// allocates nothing.
 class Bisector {
  public:
   Bisector(const PlaceGraph& graph, const Incidence& incidence,
@@ -60,35 +60,60 @@ class Bisector {
         incidence_(incidence),
         pos_(pos),
         options_(options),
-        obj_local_(graph.num_objects, UINT32_MAX),
-        net_local_(graph.nets.size(), UINT32_MAX) {}
+        net_local_(graph.nets.size(), UINT32_MAX),
+        touched_nets_(graph.nets.size()),
+        net_state_(graph.nets.size()),
+        net_pins_(incidence.data.size()),
+        inc_begin_(graph.num_objects + 1),
+        inc_(incidence.data.size()),
+        area_(graph.num_objects),
+        vertex_(graph.num_objects),
+        queue_(graph.num_objects) {}
 
   /// Partitions `objects` into sides 0/1 across a cut of their region along
-  /// `axis_x` (true: vertical cut at x=mid, side 0 = low x). Draws one value
-  /// from `rng` to seed the initial BFS cluster. Returns the side of each
-  /// object, valid until the next call.
-  const std::vector<std::uint8_t>& run(std::span<const std::uint32_t> objects, bool axis_x,
-                                       double mid, Rng& rng) {
-    init_locals(objects, axis_x, mid);
+  /// `axis_x` (true: vertical cut at x=mid, side 0 = low x). Every object
+  /// must sit at its region's center, so on the cut line. Draws one value
+  /// from `rng` to seed the initial BFS cluster. side(i) then holds the side
+  /// of objects[i], until the next call.
+  void run(std::span<const std::uint32_t> objects, bool axis_x, double mid, Rng& rng) {
+    init_locals(objects);
+    count_external(axis_x, mid);
     init_partition(rng);
     CALS_OBS_COUNT("place.bisections", 1);
     for (std::uint32_t pass = 0; pass < options_.fm_passes; ++pass) {
       CALS_OBS_COUNT("place.fm_passes", 1);
       if (!fm_pass()) break;
     }
-    clear_locals(objects);
-    return side_;
+    for (std::uint32_t net = 0; net < num_nets_; ++net) net_local_[touched_nets_[net]] = UINT32_MAX;
   }
+
+  std::uint8_t side(std::uint32_t v) const { return vertex_[v].side; }
 
  private:
   struct NetState {
     std::uint32_t ext[2];    // external pins per side (anchors)
     std::uint32_t count[2];  // local pins per side (dynamic)
+    std::uint32_t begin;     // local pins: net_pins_[begin, end)
+    std::uint32_t end;
+    std::uint32_t listings;  // local listings, repeats included
+    // A local object lists this net twice. Each move of it shifts count[]
+    // once per listing, so the counts drift (and may wrap): such a net keeps
+    // exact external counts and full pin scans.
+    bool repeated;
+    bool expanded;  // BFS: pins already queued
+  };
+  struct Vertex {
+    std::int32_t gain;
+    std::uint32_t next;  // gain bucket list
+    std::uint32_t prev;
+    std::uint8_t side;
+    std::uint8_t locked;
+    std::uint8_t visited;  // BFS: queued
   };
 
-  /// Local pins of local net `net`: ascending, duplicate-free.
-  std::span<const std::uint32_t> pins(std::uint32_t net) const {
-    return {net_pins_.data() + net_begin_[net], net_pins_.data() + net_begin_[net + 1]};
+  /// Local pins of a local net: ascending, duplicate-free.
+  std::span<const std::uint32_t> pins(const NetState& state) const {
+    return {net_pins_.data() + state.begin, net_pins_.data() + state.end};
   }
   /// Local nets of local object `v`, in global incidence order with repeats.
   std::span<const std::uint32_t> nets_of(std::uint32_t v) const {
@@ -96,115 +121,148 @@ class Bisector {
   }
 
   /// Numbers the region's objects by their position in `objects` and its
-  /// nets in first-touch order, then builds the local incidence, the local
-  /// net pins and each net's external pins per side.
-  void init_locals(std::span<const std::uint32_t> objects, bool axis_x, double mid) {
-    const auto n = static_cast<std::uint32_t>(objects.size());
-    for (std::uint32_t i = 0; i < n; ++i) obj_local_[objects[i]] = i;
-
-    touched_nets_.clear();
-    net_begin_.assign(1, 0);
-    net_state_.clear();
-    inc_.clear();
-    inc_begin_.resize(n + 1);
-    area_.resize(n);
+  /// nets in first-touch order, then builds the local incidence and the
+  /// local net pins.
+  void init_locals(std::span<const std::uint32_t> objects) {
+    n_ = static_cast<std::uint32_t>(objects.size());
+    const std::uint32_t* offset = incidence_.offset.data();
+    const std::uint32_t* data = incidence_.data.data();
+    std::uint32_t* inc = inc_.data();
+    NetState* states = net_state_.data();
+    std::uint32_t k = 0;
+    std::uint32_t num_nets = 0;
     total_area_ = 0.0;
     min_area_ = INFINITY;
     max_degree_ = 1;
-    for (std::uint32_t i = 0; i < n; ++i) {
+    for (std::uint32_t i = 0; i < n_; ++i) {
       const std::uint32_t obj = objects[i];
-      const std::uint32_t first = incidence_.offset[obj];
-      const std::uint32_t last = incidence_.offset[obj + 1];
-      inc_begin_[i] = static_cast<std::uint32_t>(inc_.size());
+      const std::uint32_t first = offset[obj];
+      const std::uint32_t last = offset[obj + 1];
+      inc_begin_[i] = k;
+      std::uint32_t previous = UINT32_MAX;
       for (std::uint32_t ni = first; ni < last; ++ni) {
-        const std::uint32_t net = incidence_.data[ni];
-        if (net_local_[net] == UINT32_MAX) add_net(net, axis_x, mid);
-        const std::uint32_t local = net_local_[net];
-        inc_.push_back(local);
-        // Count each object once per net (net_begin_ holds counts here).
-        if (ni == first || incidence_.data[ni - 1] != net) ++net_begin_[local + 1];
+        const std::uint32_t net = data[ni];
+        std::uint32_t local = net_local_[net];
+        if (local == UINT32_MAX) {
+          local = net_local_[net] = num_nets++;
+          touched_nets_[local] = net;
+          states[local] = {{0, 0}, {0, 0}, 0, 0, 0, false, false};
+        }
+        inc[k++] = local;
+        NetState& state = states[local];
+        ++state.listings;
+        // Count each object once per net (`end` holds counts here); its
+        // repeats are adjacent, as its incidence is ascending by net.
+        if (net == previous) state.repeated = true;
+        else ++state.end;
+        previous = net;
       }
       max_degree_ = std::max(max_degree_, last - first);
       area_[i] = std::max(graph_.width[obj], 1e-9);
       total_area_ += area_[i];
       min_area_ = std::min(min_area_, area_[i]);
     }
-    inc_begin_[n] = static_cast<std::uint32_t>(inc_.size());
+    inc_begin_[n_] = k;
+    num_nets_ = num_nets;
 
     // Counts -> CSR. Appending objects in local order, once per net, keeps
-    // every pin list ascending and duplicate-free. The fill advances each
-    // net_begin_[net] to its end; the shift restores the starts.
-    const auto num_nets = static_cast<std::uint32_t>(touched_nets_.size());
-    for (std::uint32_t net = 0; net < num_nets; ++net) net_begin_[net + 1] += net_begin_[net];
-    net_pins_.resize(net_begin_[num_nets]);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      for (std::uint32_t k = inc_begin_[i]; k < inc_begin_[i + 1]; ++k)
-        if (k == inc_begin_[i] || inc_[k - 1] != inc_[k]) net_pins_[net_begin_[inc_[k]]++] = i;
+    // every pin list ascending and duplicate-free.
+    std::uint32_t start = 0;
+    for (std::uint32_t net = 0; net < num_nets; ++net) {
+      NetState& state = states[net];
+      state.begin = start;
+      start += state.end;
+      state.end = state.begin;
     }
-    for (std::uint32_t net = num_nets; net > 0; --net) net_begin_[net] = net_begin_[net - 1];
-    net_begin_[0] = 0;
-    side_.assign(n, 1);  // init_partition grows side 0 out of side 1
+    for (std::uint32_t i = 0; i < n_; ++i) {
+      std::uint32_t previous = UINT32_MAX;
+      for (std::uint32_t j = inc_begin_[i]; j < inc_begin_[i + 1]; ++j) {
+        if (inc[j] != previous) net_pins_[states[inc[j]].end++] = i;
+        previous = inc[j];
+      }
+      vertex_[i].side = 1;  // init_partition grows side 0 out of side 1
+      vertex_[i].visited = 0;
+    }
   }
 
-  /// Gives global net `net` the next local id and counts its pins outside
-  /// the region per side of the cut.
-  void add_net(std::uint32_t net, bool axis_x, double mid) {
-    net_local_[net] = static_cast<std::uint32_t>(touched_nets_.size());
-    touched_nets_.push_back(net);
-    net_begin_.push_back(0);
-    NetState state{{0, 0}, {0, 0}};
-    for (std::uint32_t p = incidence_.net_offset[net]; p < incidence_.net_offset[net + 1]; ++p) {
-      const std::uint32_t pin = incidence_.net_pins[p];
-      if (obj_local_[pin] != UINT32_MAX) continue;
-      const double c = axis_x ? pos_[pin].x : pos_[pin].y;
-      ++state.ext[c < mid ? 0 : 1];
+  /// Counts each net's pins outside the region per side of the cut. Every
+  /// local object sits at its region's center, which is on the cut line
+  /// (`mid` and Rect::center() are the same (lo + hi) * 0.5), so none counts
+  /// below `mid`: ext[0] is the listings below it, and ext[1] the rest minus
+  /// the local listings. On a net whose counts stay exact, FM only asks
+  /// whether a side's total is 0 or 1, so two external pins answer it as
+  /// well as any larger number: the scan stops at two on each side.
+  void count_external(bool axis_x, double mid) {
+    for (std::uint32_t local = 0; local < num_nets_; ++local) {
+      NetState& state = net_state_[local];
+      const std::uint32_t net = touched_nets_[local];
+      const std::uint32_t first = incidence_.net_offset[net];
+      const std::uint32_t last = incidence_.net_offset[net + 1];
+      const std::uint32_t external = last - first - state.listings;
+      if (external == 0) continue;
+      // Pins at or above `mid` include the local listings.
+      const std::uint32_t enough_above = state.repeated ? UINT32_MAX : state.listings + 2;
+      std::uint32_t below = 0;
+      std::uint32_t p = first;
+      for (; p < last; ++p) {
+        const Point& at = pos_[incidence_.net_pins[p]];
+        below += (axis_x ? at.x : at.y) < mid;
+        if (below >= 2 && p + 1 - first - below >= enough_above) break;
+      }
+      if (p < last) {
+        state.ext[0] = state.ext[1] = 2;
+      } else {
+        state.ext[0] = below;
+        state.ext[1] = external - below;
+      }
     }
-    net_state_.push_back(state);
-  }
-
-  void clear_locals(std::span<const std::uint32_t> objects) {
-    for (std::uint32_t obj : objects) obj_local_[obj] = UINT32_MAX;
-    for (std::uint32_t net : touched_nets_) net_local_[net] = UINT32_MAX;
   }
 
   /// BFS-clustered initial partition: grow side 0 from a seed until it holds
-  /// half the area, so FM starts from a connected cluster.
+  /// half the area, so FM starts from a connected cluster. Expanding a net
+  /// queues all its pins, so each net is expanded once. Each net's side-0
+  /// count is taken from the incidence of the objects put on side 0.
   void init_partition(Rng& rng) {
-    const auto n = static_cast<std::uint32_t>(side_.size());
-    visited_.assign(n, 0);
-    queue_.clear();
-    std::size_t head = 0;
+    const std::uint32_t n = n_;
+    std::uint32_t* queue = queue_.data();
+    std::uint32_t head = 0;
+    std::uint32_t tail = 0;
     double area0 = 0.0;
     const double target = total_area_ * 0.5;
     auto scan = static_cast<std::uint32_t>(rng.below(std::max(1u, n)));
     std::uint32_t wrapped = 0;
     while (area0 < target && wrapped < 2) {
-      if (head == queue_.size()) {
-        while (scan < n && visited_[scan]) ++scan;
+      if (head == tail) {
+        while (scan < n && vertex_[scan].visited) ++scan;
         if (scan >= n) {
           scan = 0;
           ++wrapped;
           continue;
         }
-        queue_.push_back(scan);
-        visited_[scan] = 1;
+        queue[tail++] = scan;
+        vertex_[scan].visited = 1;
       }
-      const std::uint32_t v = queue_[head++];
-      side_[v] = 0;
+      const std::uint32_t v = queue[head++];
+      vertex_[v].side = 0;
       area0 += area_[v];
+      std::uint32_t previous = UINT32_MAX;
       for (std::uint32_t net : nets_of(v)) {
-        for (std::uint32_t w : pins(net)) {
-          if (!visited_[w]) {
-            visited_[w] = 1;
-            queue_.push_back(w);
+        NetState& state = net_state_[net];
+        if (net != previous) ++state.count[0];
+        previous = net;
+        if (state.expanded) continue;
+        state.expanded = true;
+        for (std::uint32_t w : pins(state)) {
+          if (!vertex_[w].visited) {
+            vertex_[w].visited = 1;
+            queue[tail++] = w;
           }
         }
       }
     }
-    for (std::uint32_t net = 0; net < net_state_.size(); ++net) {
+    for (std::uint32_t net = 0; net < num_nets_; ++net) {
       NetState& state = net_state_[net];
-      state.count[0] = state.count[1] = 0;
-      for (std::uint32_t v : pins(net)) ++state.count[side_[v]];
+      state.count[1] = state.end - state.begin - state.count[0];
     }
   }
 
@@ -215,33 +273,32 @@ class Bisector {
   }
 
   void bucket_insert(std::uint32_t v) {
-    const std::uint8_t s = side_[v];
-    const std::uint32_t b = bucket_index(gain_[v]);
-    next_[v] = bucket_head_[s][b];
-    prev_[v] = UINT32_MAX;
-    if (next_[v] != UINT32_MAX) prev_[next_[v]] = v;
-    bucket_head_[s][b] = v;
-    max_bucket_[s] = std::max(max_bucket_[s], b);
+    Vertex& x = vertex_[v];
+    const std::uint32_t b = bucket_index(x.gain);
+    x.next = bucket_head_[x.side][b];
+    x.prev = UINT32_MAX;
+    if (x.next != UINT32_MAX) vertex_[x.next].prev = v;
+    bucket_head_[x.side][b] = v;
+    max_bucket_[x.side] = std::max(max_bucket_[x.side], b);
   }
 
   void bucket_remove(std::uint32_t v) {
-    const std::uint8_t s = side_[v];
-    const std::uint32_t b = bucket_index(gain_[v]);
-    if (prev_[v] != UINT32_MAX) next_[prev_[v]] = next_[v];
-    else bucket_head_[s][b] = next_[v];
-    if (next_[v] != UINT32_MAX) prev_[next_[v]] = prev_[v];
+    const Vertex& x = vertex_[v];
+    if (x.prev != UINT32_MAX) vertex_[x.prev].next = x.next;
+    else bucket_head_[x.side][bucket_index(x.gain)] = x.next;
+    if (x.next != UINT32_MAX) vertex_[x.next].prev = x.prev;
   }
 
   void gain_update(std::uint32_t v, std::int32_t delta) {
-    if (locked_[v] || delta == 0) return;
+    if (vertex_[v].locked) return;
     bucket_remove(v);
-    gain_[v] += delta;
+    vertex_[v].gain += delta;
     bucket_insert(v);
   }
 
   std::int32_t compute_gain(std::uint32_t v) const {
     std::int32_t g = 0;
-    const std::uint8_t from = side_[v];
+    const std::uint8_t from = vertex_[v].side;
     const std::uint8_t to = 1 - from;
     for (std::uint32_t net : nets_of(v)) {
       const NetState& state = net_state_[net];
@@ -251,30 +308,52 @@ class Bisector {
     return g;
   }
 
+  /// Gain updates of one move's net on the side that held `side_total` pins
+  /// before the move (`to` side, delta -1) or holds it after (`from` side,
+  /// delta +1; `v` still reads `from` and is locked). Unless the net is
+  /// `repeated`, its counts are exact: at a total of 1 the one pin to update
+  /// is the side's lone local pin, and none if the lone pin is external.
+  void update_side(const NetState& state, std::uint32_t side_total, std::uint8_t side,
+                   std::uint32_t v, std::int32_t delta) {
+    if (side_total == 0) {
+      for (std::uint32_t w : pins(state)) gain_update(w, -delta);
+    } else if (side_total == 1) {
+      if (state.repeated) {
+        for (std::uint32_t w : pins(state))
+          if (vertex_[w].side == side) gain_update(w, delta);
+      } else if (state.count[side] == 1) {
+        for (std::uint32_t w : pins(state)) {
+          if (w != v && vertex_[w].side == side) {
+            gain_update(w, delta);
+            break;
+          }
+        }
+      }
+    }
+  }
+
   /// One FM pass; returns true if it improved the cut.
   bool fm_pass() {
-    const auto n = static_cast<std::uint32_t>(side_.size());
+    const std::uint32_t n = n_;
     if (n < 2) return false;
-
-    double area0 = 0.0;
-    for (std::uint32_t v = 0; v < n; ++v)
-      if (side_[v] == 0) area0 += area_[v];
-    const double lo = total_area_ * (0.5 - options_.balance_tolerance);
-    const double hi = total_area_ * (0.5 + options_.balance_tolerance);
 
     const std::uint32_t num_buckets = 2 * max_degree_ + 1;
     for (int s = 0; s < 2; ++s) {
       bucket_head_[s].assign(num_buckets, UINT32_MAX);
       max_bucket_[s] = 0;
     }
-    next_.resize(n);  // bucket_insert sets next_/prev_ of every vertex
-    prev_.resize(n);
-    locked_.assign(n, 0);
-    gain_.resize(n);
+    // Re-summed left to right each pass: a sum carried over from the last
+    // pass's moves and rollback rounds differently.
+    double area0 = 0.0;
     for (std::uint32_t v = 0; v < n; ++v) {
-      gain_[v] = compute_gain(v);
+      Vertex& x = vertex_[v];
+      if (x.side == 0) area0 += area_[v];
+      x.gain = compute_gain(v);
+      x.locked = 0;
       bucket_insert(v);
     }
+    const double lo = total_area_ * (0.5 - options_.balance_tolerance);
+    const double hi = total_area_ * (0.5 + options_.balance_tolerance);
 
     sequence_.clear();
     std::int64_t best_prefix_gain = 0;
@@ -300,9 +379,8 @@ class Bisector {
           bool found = false;
           int walked = 0;
           for (std::uint32_t v = bucket_head_[s][b]; v != UINT32_MAX && walked < 8;
-               v = next_[v], ++walked) {
-            const double new_area0 =
-                side_[v] == 0 ? area0 - area_[v] : area0 + area_[v];
+               v = vertex_[v].next, ++walked) {
+            const double new_area0 = s == 0 ? area0 - area_[v] : area0 + area_[v];
             if (new_area0 >= lo && new_area0 <= hi) {
               chosen = v;
               chosen_gain = g;
@@ -317,32 +395,20 @@ class Bisector {
       if (chosen_gain < 0 && stale > n / 8) break;  // cheap cutoff
 
       const std::uint32_t v = chosen;
-      const std::uint8_t from = side_[v];
+      const std::uint8_t from = vertex_[v].side;
       const std::uint8_t to = 1 - from;
       bucket_remove(v);
-      locked_[v] = 1;
+      vertex_[v].locked = 1;
       area0 += (from == 0) ? -area_[v] : area_[v];
 
       for (std::uint32_t net : nets_of(v)) {
         NetState& state = net_state_[net];
-        const std::uint32_t to_total = state.count[to] + state.ext[to];
-        if (to_total == 0) {
-          for (std::uint32_t w : pins(net)) gain_update(w, +1);
-        } else if (to_total == 1) {
-          for (std::uint32_t w : pins(net))
-            if (side_[w] == to) gain_update(w, -1);
-        }
+        update_side(state, state.count[to] + state.ext[to], to, v, -1);
         --state.count[from];
         ++state.count[to];
-        const std::uint32_t from_after = state.count[from] + state.ext[from];
-        if (from_after == 0) {
-          for (std::uint32_t w : pins(net)) gain_update(w, -1);
-        } else if (from_after == 1) {
-          for (std::uint32_t w : pins(net))
-            if (side_[w] == from) gain_update(w, +1);
-        }
+        update_side(state, state.count[from] + state.ext[from], from, v, +1);
       }
-      side_[v] = to;
+      vertex_[v].side = to;
       sequence_.push_back(v);
       running += chosen_gain;
       if (running > best_prefix_gain) {
@@ -357,13 +423,13 @@ class Bisector {
     // Roll back moves after the best prefix.
     for (std::size_t i = sequence_.size(); i > best_prefix; --i) {
       const std::uint32_t v = sequence_[i - 1];
-      const std::uint8_t from = side_[v];
+      const std::uint8_t from = vertex_[v].side;
       const std::uint8_t to = 1 - from;
       for (std::uint32_t net : nets_of(v)) {
         --net_state_[net].count[from];
         ++net_state_[net].count[to];
       }
-      side_[v] = to;
+      vertex_[v].side = to;
     }
     return best_prefix_gain > 0;
   }
@@ -373,35 +439,28 @@ class Bisector {
   const std::vector<Point>& pos_;
   const PlaceOptions& options_;
 
-  // Global id -> local id, UINT32_MAX outside the current bisection.
-  std::vector<std::uint32_t> obj_local_;
+  // Global net id -> local id, UINT32_MAX outside the current bisection.
   std::vector<std::uint32_t> net_local_;
 
-  // Local nets (CSR over local object ids) and the local incidence (CSR over
-  // local net ids).
+  // The current region: n_ objects and num_nets_ local nets. Local nets
+  // (CSR over local object ids) and the local incidence (CSR over local net
+  // ids) fill the fronts of arrays sized for the whole graph.
+  std::uint32_t n_ = 0;
+  std::uint32_t num_nets_ = 0;
   std::vector<std::uint32_t> touched_nets_;  // local net -> global net
-  std::vector<std::uint32_t> net_begin_;
-  std::vector<std::uint32_t> net_pins_;
   std::vector<NetState> net_state_;
+  std::vector<std::uint32_t> net_pins_;
   std::vector<std::uint32_t> inc_begin_;
   std::vector<std::uint32_t> inc_;
 
   std::vector<double> area_;
   std::uint32_t max_degree_ = 1;
-  std::vector<std::uint8_t> side_;
   double total_area_ = 0.0;
   double min_area_ = 0.0;
 
-  // BFS state
-  std::vector<std::uint8_t> visited_;
-  std::vector<std::uint32_t> queue_;
-
-  // FM pass state
-  std::vector<std::int32_t> gain_;
-  std::vector<std::uint32_t> next_;
-  std::vector<std::uint32_t> prev_;
-  std::vector<std::uint8_t> locked_;
-  std::vector<std::uint32_t> sequence_;
+  std::vector<Vertex> vertex_;
+  std::vector<std::uint32_t> queue_;  // BFS
+  std::vector<std::uint32_t> sequence_;  // FM moves of the pass
   std::vector<std::uint32_t> bucket_head_[2];
   std::uint32_t max_bucket_[2] = {0, 0};
 };
@@ -458,7 +517,7 @@ Placement global_place(const PlaceGraph& graph, const Floorplan& floorplan,
     const bool axis_x = region.rect.width() >= region.rect.height();
     const double mid = axis_x ? (region.rect.lo.x + region.rect.hi.x) * 0.5
                               : (region.rect.lo.y + region.rect.hi.y) * 0.5;
-    const std::vector<std::uint8_t>& side = bisector.run(objects, axis_x, mid, rng);
+    bisector.run(objects, axis_x, mid, rng);
 
     Rect rect0 = region.rect;
     Rect rect1 = region.rect;
@@ -470,12 +529,14 @@ Placement global_place(const PlaceGraph& graph, const Floorplan& floorplan,
       rect1.lo.y = mid;
     }
     // Stable split in place: side-0 objects move down (never past the one
-    // being read), side-1 objects go through `spill` to the back.
+    // being read), side-1 objects go through `spill` to the back. Each
+    // object goes to its child's center, on that child's cut line, where
+    // Bisector::run expects it (the root's objects start at the die center).
     spill.clear();
     std::uint32_t split = region.begin;
     for (std::size_t i = 0; i < objects.size(); ++i) {
       const std::uint32_t obj = objects[i];
-      if (side[i] == 0) {
+      if (bisector.side(static_cast<std::uint32_t>(i)) == 0) {
         order[split++] = obj;
         result.pos[obj] = rect0.center();
       } else {

@@ -11,8 +11,8 @@
 ///
 /// Regions are [begin, end) ranges of one object-order array that each
 /// bisection partitions stably in place. A bisection builds its local nets
-/// and local incidence as CSR arrays in arenas reused across bisections, so
-/// it allocates nothing once they have grown (DESIGN.md §16).
+/// and local incidence as CSR arrays at the front of arrays sized once for
+/// the graph, so it allocates nothing (DESIGN.md §16).
 
 #include <cstdint>
 

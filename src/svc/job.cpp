@@ -1,5 +1,7 @@
 #include "svc/job.hpp"
 
+#include <cmath>
+
 #include "util/fnv.hpp"
 #include "util/strings.hpp"
 
@@ -257,6 +259,20 @@ Result<JobSpec> job_spec_from_json(std::string_view text) {
   get_double(obj, "r_present", spec.options.route.present_penalty);
   get_double(obj, "r_history", spec.options.route.history_increment);
   get_i32(obj, "r_bbox", spec.options.route.bbox_margin);
+  // Out of these ranges the grid or the router aborts or never finishes.
+  const RGridOptions& grid = spec.options.rgrid;
+  if (!(grid.gcell_um > 0.0) || !std::isfinite(grid.gcell_um))
+    return Status::parse_error("job: 'g_cell_um' must be positive and finite");
+  if (!(grid.m1_fraction >= 0.0 && grid.m1_fraction <= 1.0))
+    return Status::parse_error("job: 'g_m1' must be in [0, 1]");
+  if (!(grid.capacity_scale > 0.0) || !std::isfinite(grid.capacity_scale))
+    return Status::parse_error("job: 'g_cap' must be positive and finite");
+  const RouteOptions& route = spec.options.route;
+  if (!(route.present_penalty >= 0.0) || !std::isfinite(route.present_penalty))
+    return Status::parse_error("job: 'r_present' must be finite and >= 0");
+  if (!(route.history_increment >= 0.0) || !std::isfinite(route.history_increment))
+    return Status::parse_error("job: 'r_history' must be finite and >= 0");
+  if (route.bbox_margin < 0) return Status::parse_error("job: 'r_bbox' must be >= 0");
   get_u32(obj, "rp_passes", spec.options.repair_passes);
   get_u32(obj, "rp_window", spec.options.repair_window);
   get_u32(obj, "rp_cells", spec.options.repair_max_cells);

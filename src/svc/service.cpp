@@ -57,6 +57,18 @@ JobOutcome evaluate_job_on_context(const JobSpec& spec, const DesignContext& con
                                    rcm::RepairStats* repair) {
   CALS_TRACE_SCOPE("svc.job.eval");
   JobOutcome outcome;
+  // The text and the dataset path both land here: a grid this large
+  // outgrows the router's packed maze coordinates and memory.
+  const Rect die = context.floorplan().die();
+  const double gcell = spec.options.rgrid.gcell_um;
+  const double nx = std::ceil(die.width() / gcell);
+  const double ny = std::ceil(die.height() / gcell);
+  if (!(nx <= kMaxGcellsPerSide && ny <= kMaxGcellsPerSide)) {
+    outcome.status = Status::parse_error(
+        strprintf("job: 'g_cell_um' %g gives a %.0f x %.0f routing grid (at most %u a side)",
+                  gcell, nx, ny, kMaxGcellsPerSide));
+    return outcome;
+  }
   FlowOptions options = spec.options;
   options.num_threads = 1;  // auto_k walks its schedule on this thread
   options.on_error = ErrorPolicy::kBestEffort;
@@ -90,9 +102,22 @@ JobOutcome run_flow_job(const JobSpec& spec, std::vector<RouteIterStats>* route_
     outcome.status = design.status();
     return outcome;
   }
-  const DesignContext context(std::move(design->net), &design->library,
-                              design->floorplan);
-  return evaluate_job_on_context(spec, context, route_iters, repair);
+  // The attempt's token reaches the base placement too; it is a runtime
+  // control outside every key, so the placement does not change.
+  PlaceOptions place;
+  place.cancel = spec.options.cancel;
+  std::optional<DesignContext> context;
+  try {
+    context.emplace(std::move(design->net), &design->library, design->floorplan, place);
+  } catch (const CancelledError& e) {
+    JobOutcome outcome;
+    const std::string message = strprintf("flow: %s in context construction", e.what());
+    outcome.status = e.cause() == CancelCause::kDeadlineExceeded
+                         ? Status::deadline_exceeded(message)
+                         : Status::cancelled(message);
+    return outcome;
+  }
+  return evaluate_job_on_context(spec, *context, route_iters, repair);
 }
 
 double retry_backoff_delay_ms(double base_ms, double max_ms,

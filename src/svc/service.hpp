@@ -83,6 +83,11 @@ struct JobDesign {
 /// precompiled dataset blob makes disappear from the dispatch path.
 Result<JobDesign> build_job_design(const JobSpec& spec);
 
+/// The largest routing grid a job may ask for, in gcells a side (the
+/// paper's x1.0 dies use ~71). evaluate_job_on_context fails a larger one
+/// with kParseError naming 'g_cell_um'.
+inline constexpr std::uint32_t kMaxGcellsPerSide = 4096;
+
 /// The back half of run_flow_job: evaluates `spec` against an
 /// already-built context (options.K or the Fig. 3 schedule when
 /// spec.auto_k) on the calling thread, at num_threads = 1 whatever the

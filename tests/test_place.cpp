@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "flow/baselines.hpp"
 #include "flow/flow.hpp"
 #include "library/corelib.hpp"
@@ -271,6 +273,79 @@ TEST(GlobalPlaceGolden, RandomGraphsWithRepeatedPins) {
     EXPECT_EQ(position_digest(global_place(graph, fp, options)), c.digest)
         << "seed " << c.seed;
   }
+}
+
+/// Base networks shaped like perfbench's kloop_cliff designs: spla- and
+/// pdc-like presets at x0.35 on a die trimmed to utilization 0.86. These
+/// carry the 33-61-pin nets that nearly every region of a placement touches.
+TEST(GlobalPlaceGolden, KloopShapedBaseNetworks) {
+  const TechParams& tech = SplaPlaceGolden::library().tech();
+  const std::pair<Pla, std::uint64_t> cases[] = {
+      {workloads::spla_like(0.35), 0x89bb2a479945f3ddull},
+      {workloads::pdc_like(0.35), 0xf01923f5e1cb491dull},
+  };
+  for (const auto& [pla, digest] : cases) {
+    BaseNetwork net = synthesize_base(pla);
+    const double core = net.num_base_gates() * 5.3 / 0.86;
+    const auto rows =
+        static_cast<std::uint32_t>(std::lround(std::sqrt(core) / tech.row_height_um));
+    const Floorplan fp(rows, core / (rows * tech.row_height_um), tech);
+    net.compact();
+    net.build_fanouts();
+    const BasePlaceBinding binding = lower_base_network(net, fp);
+    EXPECT_EQ(position_digest(global_place(binding.graph, fp)), digest)
+        << binding.graph.num_objects << " objects";
+  }
+}
+
+/// Random hypergraph with wide nets: some of 40-80 pins, objects listed two
+/// and three times in one net, zero-width objects.
+PlaceGraph wide_random_graph(std::uint64_t seed, const Rect& die) {
+  Rng rng(seed);
+  PlaceGraph graph;
+  for (std::uint32_t i = 0; i < 12; ++i) {
+    const double t = (i + 0.5) / 12.0;
+    graph.add_fixed(i % 2 == 0 ? Point{die.hi.x, die.lo.y + t * die.height()}
+                               : Point{die.lo.x + t * die.width(), die.lo.y});
+  }
+  const auto movable = static_cast<std::uint32_t>(150 + rng.below(250));
+  for (std::uint32_t i = 0; i < movable; ++i)
+    graph.add_object(rng.below(8) == 0 ? 0.0 : 0.6 * static_cast<double>(1 + rng.below(6)));
+  const std::uint32_t num_nets = movable + movable / 3;
+  for (std::uint32_t n = 0; n < num_nets; ++n) {
+    const std::uint64_t kind = rng.below(20);
+    const auto size = static_cast<std::uint32_t>(kind == 0   ? 40 + rng.below(41)
+                                                 : kind < 3 ? 5 + rng.below(20)
+                                                            : 2 + rng.below(3));
+    HyperNet net;
+    for (std::uint32_t k = 0; k < size; ++k)
+      net.pins.push_back(static_cast<std::uint32_t>(rng.below(graph.num_objects)));
+    const std::uint64_t repeat = rng.below(8);
+    if (repeat == 0) net.pins.push_back(net.pins[rng.below(size)]);
+    if (repeat == 1) {
+      const std::uint32_t pin = net.pins[rng.below(size)];
+      net.pins.insert(net.pins.begin() + rng.below(size), pin);
+      net.pins.push_back(pin);
+    }
+    graph.nets.push_back(std::move(net));
+  }
+  return graph;
+}
+
+TEST(GlobalPlaceGolden, ManyRandomGraphs) {
+  const Floorplan fp = Floorplan::square_with_rows(18, TechParams{});
+  Fnv64 digest;
+  for (std::uint64_t seed = 100; seed < 148; ++seed) {
+    const PlaceGraph graph = wide_random_graph(seed, fp.die());
+    PlaceOptions options;
+    options.fm_passes = 1 + seed % 5;
+    options.min_bin_objects = 1 + seed % 9;
+    options.balance_tolerance = 0.02 + 0.02 * static_cast<double>(seed % 7);
+    options.seed = seed;
+    const Placement placement = global_place(graph, fp, options);
+    digest.update(placement.pos.data(), placement.pos.size() * sizeof(Point));
+  }
+  EXPECT_EQ(digest.digest(), 0x700ff352c4e59137ull);
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include "util/cancel.hpp"
 #include "util/faults.hpp"
 #include "util/io.hpp"
+#include "util/obs.hpp"
 #include "workloads/plagen.hpp"
 #include "workloads/presets.hpp"
 
@@ -134,6 +135,21 @@ TEST(FlowCancel, ExpiredDeadlineUnwindsAsDeadlineExceeded) {
   spec.options.cancel = &token;
   const JobOutcome outcome = run_flow_job(spec);
   EXPECT_EQ(outcome.status.code(), ErrorCode::kDeadlineExceeded);
+}
+
+TEST(FlowCancel, PreFiredTokenStopsBeforeTheBasePlacement) {
+  // A text job's token reaches global_place in the context constructor, so
+  // a fired token stops it at its first bisection.
+  CancelToken token;
+  token.cancel();
+  JobSpec spec = tiny_job();
+  spec.options.cancel = &token;
+  obs::Registry::instance().reset();
+  obs::set_enabled(true);
+  const JobOutcome outcome = run_flow_job(spec);
+  obs::set_enabled(false);
+  EXPECT_EQ(outcome.status.code(), ErrorCode::kCancelled) << outcome.status.to_string();
+  EXPECT_EQ(obs::Registry::instance().counter("place.bisections").value(), 0u);
 }
 
 // ---- service: running cancel, deadlines, retry ----------------------------

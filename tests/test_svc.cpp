@@ -275,6 +275,43 @@ std::string with_fields(const std::string& json, const std::string& fields) {
   return "{" + fields + ", " + json.substr(1);
 }
 
+TEST(SvcJob, DecoderRejectsRouterOptionsOutOfRange) {
+  // Each value aborted or stalled the grid or the router once it reached
+  // them; the decoder now names the field instead.
+  const std::pair<const char*, const char*> cases[] = {
+      {R"("r_bbox": -40)", "r_bbox"},         {R"("r_present": -5)", "r_present"},
+      {R"("r_history": -2)", "r_history"},    {R"("g_cell_um": -1)", "g_cell_um"},
+      {R"("g_cell_um": 0)", "g_cell_um"},     {R"("g_cap": 0)", "g_cap"},
+      {R"("g_cap": -1)", "g_cap"},            {R"("g_m1": -3)", "g_m1"},
+      {R"("g_m1": 1.5)", "g_m1"},
+  };
+  const std::string json = R"({"design": ".i 1"})";
+  for (const auto& [field, name] : cases) {
+    const Result<JobSpec> decoded = job_spec_from_json(with_fields(json, field));
+    ASSERT_FALSE(decoded.ok()) << field;
+    EXPECT_EQ(decoded.status().code(), ErrorCode::kParseError) << field;
+    EXPECT_NE(decoded.status().message().find(name), std::string::npos)
+        << decoded.status().to_string();
+  }
+  // The edges of each range still decode.
+  const Result<JobSpec> edges = job_spec_from_json(with_fields(
+      json, R"("r_bbox": 0, "r_present": 0, "r_history": 0, "g_m1": 0, "g_cap": 0.5)"));
+  ASSERT_TRUE(edges.ok()) << edges.status().to_string();
+  EXPECT_EQ(edges->options.route.bbox_margin, 0);
+  EXPECT_EQ(edges->options.rgrid.m1_fraction, 0.0);
+}
+
+TEST(SvcRunJob, RoutingGridOverTheLimitFailsBeforeRouting) {
+  // g_cell_um = 0.01 um on this die asks for a grid of thousands of gcells a
+  // side, which the router would take minutes to clear, or abort on.
+  JobSpec spec = tiny_job();
+  spec.options.rgrid.gcell_um = 0.01;
+  const JobOutcome outcome = run_flow_job(spec);
+  EXPECT_EQ(outcome.status.code(), ErrorCode::kParseError);
+  EXPECT_NE(outcome.status.message().find("g_cell_um"), std::string::npos)
+      << outcome.status.to_string();
+}
+
 TEST(SvcJob, FilesWithRetiredThreadFieldsStillDecode) {
   // Job files, outcomes and flight records written before services ran each
   // job on one thread carry "threads", "m_threads_used", "thread_slice" and
